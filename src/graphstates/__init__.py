@@ -5,7 +5,7 @@ measurements, local-complementation orbits and classification, and a dense
 state-vector oracle for verification.
 """
 
-from .gf2 import BitMatrix, BitVector, gf2_kernel_basis, gf2_rank
+from .gf2 import gf2_kernel_basis, gf2_rank_of_rows
 from .graphs import (
     CapExceeded,
     Graph,

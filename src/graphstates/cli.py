@@ -21,13 +21,13 @@ from . import entanglement, measurement, oracle, orbits
 from .graphs import (
     CapExceeded,
     Graph,
+    local_complement,
     parse_graph6,
     random_connected_graph,
     to_graph6,
 )
 from .measurement import ZeroProbabilityOutcome, apply_sequence, sequence_transcript
 from .stabilizer import local_complement_clifford
-from .graphs import local_complement
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,10 +62,6 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _ri_text(ri) -> str:
-    return "(" + ",".join(map(str, ri)) + ")" if ri is not None else ""
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -86,7 +82,7 @@ def _cmd_bounds(args) -> int:
             lines.append(",".join([
                 r["graph6"], str(r["lower"]), str(r["upper"]),
                 str(r["cover_size"]), "yes" if r["tight"] else "no",
-                f'"{_ri_text(r["RI_2"])}"', f'"{_ri_text(r["RI_3"])}"',
+                f'"{orbits._ri_str(r["RI_2"])}"', f'"{orbits._ri_str(r["RI_3"])}"',
                 "yes" if r["two_colorable"] else "no"]))
         _emit("\n".join(lines) + "\n", args.output)
     else:
@@ -95,7 +91,8 @@ def _cmd_bounds(args) -> int:
             lines.append(
                 f'{r["graph6"]} lower={r["lower"]} upper={r["upper"]}'
                 f' cover={r["cover_size"]} tight={"yes" if r["tight"] else "no"}'
-                f' RI_2={_ri_text(r["RI_2"])} RI_3={_ri_text(r["RI_3"])}'
+                f' RI_2={orbits._ri_str(r["RI_2"])}'
+                f' RI_3={orbits._ri_str(r["RI_3"])}'
                 f' two_colorable={"yes" if r["two_colorable"] else "no"}')
         _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
@@ -115,9 +112,9 @@ def _cmd_classify(args) -> int:
 _STEP_RE = re.compile(r"^([xyz])(\d+)([+-]?)$")
 
 
-def _parse_steps(tokens, rng) -> "callable":
-    """Return a closure that resolves each token to (vertex, basis, sign),
-    sampling unspecified outcomes with the seeded RNG."""
+def _parse_steps(tokens) -> list[tuple[int, str, int | None]]:
+    """Parse step tokens into (vertex, basis, sign) triples; sign is None
+    where the token leaves the outcome unspecified."""
     parsed = []
     for tok in tokens:
         m = _STEP_RE.match(tok)
@@ -135,7 +132,7 @@ def _cmd_measure(args) -> int:
         raise ValueError("measure expects exactly one input graph")
     g = graphs[0]
     rng = random.Random(args.seed)
-    parsed = _parse_steps(args.steps, rng)
+    parsed = _parse_steps(args.steps)
     chosen: list[tuple[int, str, int]] = []
     for vertex, basis, sign in parsed:
         if sign is None:

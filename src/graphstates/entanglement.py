@@ -24,6 +24,7 @@ from .graphs import (
     greedy_vertex_cover,
     is_connected,
     min_vertex_cover,
+    to_graph6,
     two_coloring,
 )
 from .measurement import measure_via_lc
@@ -232,8 +233,6 @@ def two_colorable_bounds(g: Graph) -> tuple[int, int]:
 def bounds_record(g: Graph, search_cap: int = DEFAULT_SEARCH_CAP,
                   depth_limit: int | None = None) -> dict:
     """Flat record used for CSV/JSON rendering of a bounds query."""
-    from .graphs import to_graph6
-
     rep = bounds(g, search_cap, depth_limit)
     record = {
         "graph6": to_graph6(g),

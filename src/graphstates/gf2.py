@@ -7,72 +7,6 @@ without an explicit packing layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class BitVector:
-    """Fixed-length vector over GF(2)."""
-
-    length: int
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ValueError("length must be non-negative")
-        if not 0 <= self.bits < (1 << self.length):
-            raise ValueError("bits outside of declared length")
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def support(self) -> tuple[int, ...]:
-        """Indices of the set bits."""
-        return tuple(i for i in range(self.length) if (self.bits >> i) & 1)
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def __str__(self) -> str:
-        return "".join(str((self.bits >> i) & 1) for i in range(self.length))
-
-
-@dataclass(frozen=True)
-class BitMatrix:
-    """Matrix over GF(2); each row is an int with bit j = column j."""
-
-    n_cols: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n_cols < 0:
-            raise ValueError("n_cols must be non-negative")
-        for r in self.rows:
-            if not 0 <= r < (1 << self.n_cols):
-                raise ValueError("row has bits outside of n_cols")
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.n_cols, self.rows[i])
-
-    @classmethod
-    def from_rows(cls, rows, n_cols: int) -> "BitMatrix":
-        ints = tuple(r.bits if isinstance(r, BitVector) else int(r) for r in rows)
-        return cls(n_cols, ints)
-
-    def mul_vec(self, v: BitVector | int) -> BitVector:
-        """Matrix-vector product over GF(2); entry i = parity of rows[i] & v."""
-        bits = v.bits if isinstance(v, BitVector) else int(v)
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= ((r & bits).bit_count() & 1) << i
-        return BitVector(self.n_rows, out)
-
 
 def gf2_rank_of_rows(rows, n_cols: int) -> int:
     """Rank of raw int rows over GF(2); forward elimination on a copy."""
@@ -98,21 +32,17 @@ def gf2_rank_of_rows(rows, n_cols: int) -> int:
     return rank
 
 
-def gf2_rank(m: BitMatrix) -> int:
-    """Dimension of the row space over GF(2).  Does not mutate its input."""
-    return gf2_rank_of_rows(m.rows, m.n_cols)
+def gf2_kernel_basis(rows, n_cols: int) -> list[int]:
+    """Basis of the right null space of int rows: for every returned v, each
+    row r has even parity of r & v.
 
-
-def gf2_kernel_basis(m: BitMatrix) -> list[BitVector]:
-    """Basis of the right null space: every returned v satisfies Mv = 0.
-
-    The basis has n_cols - gf2_rank(m) elements, one per free column of the
-    reduced row echelon form.
+    The basis has n_cols - gf2_rank_of_rows(rows, n_cols) elements, one per
+    free column of the reduced row echelon form.  Does not mutate its input.
     """
-    work = list(m.rows)
+    work = list(rows)
     pivot_cols: list[int] = []
     rank = 0
-    for col in range(m.n_cols):
+    for col in range(n_cols):
         pivot = None
         for r in range(rank, len(work)):
             if (work[r] >> col) & 1:
@@ -128,12 +58,12 @@ def gf2_kernel_basis(m: BitMatrix) -> list[BitVector]:
         rank += 1
     basis = []
     pivot_set = set(pivot_cols)
-    for free in range(m.n_cols):
+    for free in range(n_cols):
         if free in pivot_set:
             continue
         v = 1 << free
         for r, pcol in enumerate(pivot_cols):
             if (work[r] >> free) & 1:
                 v |= 1 << pcol
-        basis.append(BitVector(m.n_cols, v))
+        basis.append(v)
     return basis

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,9 +17,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .gf2 import BitMatrix
-
-_CANON_NUMPY_MAX = 8
+# the n! numpy scan beats backtracking only up to n = 6
+_CANON_NUMPY_MAX = 6
 DEFAULT_CANONICAL_CAP = 10
 DEFAULT_ENUMERATION_CAP = 8
 
@@ -82,9 +80,6 @@ class Graph:
                 r >>= 1
                 b += 1
         return out
-
-    def adjacency(self) -> BitMatrix:
-        return BitMatrix(self.n, self.rows)
 
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
@@ -387,10 +382,6 @@ def two_coloring(g: Graph) -> tuple[int, int] | None:
     return m0, m1
 
 
-def is_two_colorable(g: Graph) -> bool:
-    return two_coloring(g) is not None
-
-
 # ---------------------------------------------------------------------------
 # vertex covers
 
@@ -587,8 +578,8 @@ def canonical_form(g: Graph, cap: int = DEFAULT_CANONICAL_CAP) -> tuple[Graph, t
 
 def automorphism_count(g: Graph) -> int:
     """Order of the automorphism group (exhaustive scan, n <= 8)."""
-    if g.n > _CANON_NUMPY_MAX:
-        raise CapExceeded(f"automorphism_count capped at n<={_CANON_NUMPY_MAX}")
+    if g.n > DEFAULT_ENUMERATION_CAP:
+        raise CapExceeded(f"automorphism_count capped at n<={DEFAULT_ENUMERATION_CAP}")
     if g.n <= 1:
         return 1
     return _canon_scan_numpy(g)[2]
@@ -650,7 +641,7 @@ def connected_labeled_graph_count(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# graph6 I/O and JSON export
+# graph6 I/O
 
 def to_graph6(g: Graph) -> str:
     """Standard graph6 encoding (n <= 62: single-byte size)."""
@@ -709,20 +700,3 @@ def parse_graph6(text: str) -> Graph:
                 rows[j] |= 1 << i
             pos -= 1
     return Graph(n, tuple(rows))
-
-
-def parse_graph6_lines(text: str) -> list[Graph]:
-    return [parse_graph6(line) for line in text.splitlines() if line.strip()]
-
-
-def adjacency_json(g: Graph) -> str:
-    """Adjacency-list JSON: {"n": ..., "adjacency": [[neighbors of 0], ...]}."""
-    adj = [list(bits_of(r)) for r in g.rows]
-    return json.dumps({"n": g.n, "adjacency": adj})
-
-
-def from_adjacency_json(text: str) -> Graph:
-    data = json.loads(text)
-    n = data["n"]
-    edges = [(v, w) for v, nbrs in enumerate(data["adjacency"]) for w in nbrs if v < w]
-    return from_edges(n, edges)

@@ -9,7 +9,6 @@ the graph rule is applied.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -26,6 +25,7 @@ from .stabilizer import (
     CLIFFORD_INVERSE,
     LocalClifford,
     clifford_axis_image,
+    embed_clifford,
     identity_clifford,
 )
 
@@ -133,16 +133,9 @@ def measure_pauli(g: Graph, a: int, basis: str, b0: int | None = None) -> Measur
 
     after = delete_vertex(after_full, a)
     n_out = after.n
-    bp_plus = _as_clifford(n_out, _shift_down(plus, a))
-    bp_minus = _as_clifford(n_out, _shift_down(minus, a))
+    bp_plus = embed_clifford(n_out, _shift_down(plus, a))
+    bp_minus = embed_clifford(n_out, _shift_down(minus, a))
     return MeasurementOutcome(after, bp_plus, bp_minus, Fraction(1, 2), chosen)
-
-
-def _as_clifford(n: int, assignments: dict[int, int]) -> LocalClifford:
-    idx = [CL_I] * n
-    for v, c in assignments.items():
-        idx[v] = c
-    return LocalClifford(tuple(idx))
 
 
 def measure_via_lc(g: Graph, a: int, basis: str, b0: int | None = None) -> Graph:
@@ -238,7 +231,3 @@ def sequence_transcript(g: Graph, steps) -> list[dict]:
             "byproduct": str(LocalClifford(byp)),
         })
     return out
-
-
-def sequence_transcript_json(g: Graph, steps) -> str:
-    return json.dumps(sequence_transcript(g, steps), indent=2)

@@ -293,10 +293,6 @@ def clifford_compose(u: LocalClifford, v: LocalClifford) -> LocalClifford:
     return LocalClifford(tuple(CLIFFORD_COMPOSE[a][b] for a, b in zip(u.indices, v.indices)))
 
 
-def clifford_inverse(u: LocalClifford) -> LocalClifford:
-    return LocalClifford(tuple(CLIFFORD_INVERSE[i] for i in u.indices))
-
-
 _BITS_TO_AXIS = {(1, 0): AXIS_X, (1, 1): AXIS_Y, (0, 1): AXIS_Z}
 _AXIS_TO_BITS = {AXIS_X: (1, 0), AXIS_Y: (1, 1), AXIS_Z: (0, 1)}
 

@@ -31,6 +31,17 @@ def test_bounds_csv_and_json(capsys):
     assert data[0]["lower"] == 3 and data[0]["tight"]
 
 
+def test_bounds_rank_indices_for_six_ring(capsys):
+    g6 = to_graph6(cycle_graph(6))
+    assert main(["bounds", g6, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        f'{g6},3,3,3,yes,"(15,0)","(6,4,0)",yes')
+    assert main(["bounds", g6, "--format", "text"]) == 0
+    assert capsys.readouterr().out == (
+        f"{g6} lower=3 upper=3 cover=3 tight=yes RI_2=(15,0) RI_3=(6,4,0)"
+        " two_colorable=yes\n")
+
+
 def test_parse_failure_exits_one(capsys):
     assert main(["bounds", "~~~not-graph6~~~"]) == 1
 

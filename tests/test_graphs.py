@@ -24,6 +24,7 @@ from graphstates.graphs import (
     enumerate_connected,
     from_edges,
     greedy_vertex_cover,
+    grid_graph,
     induced_subgraph,
     is_connected,
     is_isomorphic,
@@ -193,8 +194,19 @@ def test_backtracking_canonicalizer_matches_scan():
     for _ in range(50):
         g = random_connected_graph(rng, rng.randrange(4, 8))
         assert _canon_backtrack(g)[0].rows == _canon_scan_numpy(g)[0].rows
-    for g in (complete_graph(6), cycle_graph(7), star_graph(7)):
+    for _ in range(5):
+        g = random_connected_graph(rng, 8)
         assert _canon_backtrack(g)[0].rows == _canon_scan_numpy(g)[0].rows
+    for g in (complete_graph(6), cycle_graph(7), star_graph(7),
+              cycle_graph(8), star_graph(8), grid_graph(2, 4)):
+        assert _canon_backtrack(g)[0].rows == _canon_scan_numpy(g)[0].rows
+
+
+def test_automorphism_count_up_to_eight_vertices():
+    assert automorphism_count(complete_graph(8)) == 40320
+    assert automorphism_count(cycle_graph(8)) == 16
+    with pytest.raises(CapExceeded):
+        automorphism_count(cycle_graph(9))
 
 
 def _brute_connected_classes(n):
