@@ -26,7 +26,7 @@ from .graphs import (
     random_connected_graph,
     to_graph6,
 )
-from .measurement import ZeroProbabilityOutcome, apply_sequence, sequence_transcript
+from .measurement import run_sequence
 from .stabilizer import local_complement_clifford
 
 EXIT_OK = 0
@@ -131,19 +131,8 @@ def _cmd_measure(args) -> int:
     if len(graphs) != 1:
         raise ValueError("measure expects exactly one input graph")
     g = graphs[0]
-    rng = random.Random(args.seed)
-    parsed = _parse_steps(args.steps)
-    chosen: list[tuple[int, str, int]] = []
-    for vertex, basis, sign in parsed:
-        if sign is None:
-            sign = 1 if rng.random() < 0.5 else -1
-            try:
-                apply_sequence(g, chosen + [(vertex, basis, sign)])
-            except ZeroProbabilityOutcome:
-                sign = 1
-        chosen.append((vertex, basis, sign))
-    transcript = sequence_transcript(g, chosen)
-    final, byproduct, prob = apply_sequence(g, chosen)
+    transcript, final, byproduct, prob = run_sequence(
+        g, _parse_steps(args.steps), random.Random(args.seed))
     if args.format == "json":
         _emit(json.dumps({
             "input": to_graph6(g),
@@ -179,8 +168,6 @@ def _cmd_orbit(args) -> int:
 
 
 def _verify_suite(seed: int, max_n: int, trials: int) -> list[str]:
-    import numpy as np
-
     rng = random.Random(seed)
     failures: list[str] = []
 

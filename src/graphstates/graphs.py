@@ -9,16 +9,11 @@ iterables of vertex indices.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-import numpy as np
-
-# the n! numpy scan beats backtracking only up to n = 6
-_CANON_NUMPY_MAX = 6
 DEFAULT_CANONICAL_CAP = 10
 DEFAULT_ENUMERATION_CAP = 8
 
@@ -460,23 +455,6 @@ def is_vertex_cover(g: Graph, subset) -> bool:
 # ---------------------------------------------------------------------------
 # canonical forms and isomorphism
 
-def _tri_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ii, jj = [], []
-    for j in range(1, n):
-        for i in range(j):
-            ii.append(i)
-            jj.append(j)
-    L = len(ii)
-    weights = (1 << np.arange(L - 1, -1, -1, dtype=np.int64)) if L else np.zeros(0, np.int64)
-    return np.array(ii), np.array(jj), weights
-
-
-@lru_cache(maxsize=None)
-def _perm_tables(n: int):
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
-    return perms, _tri_indices(n)
-
-
 def _tri_value(g: Graph) -> int:
     """Upper-triangle bits read column by column, first bit most significant."""
     val = 0
@@ -486,83 +464,45 @@ def _tri_value(g: Graph) -> int:
     return val
 
 
-def _rows_from_matrix(a: np.ndarray) -> tuple[int, ...]:
-    n = a.shape[0]
-    return tuple(int(sum(int(a[i, j]) << j for j in range(n))) for i in range(n))
-
-
-def _canon_scan_numpy(g: Graph) -> tuple[Graph, tuple[int, ...], int]:
-    n = g.n
-    perms, (ii, jj, weights) = _perm_tables(n)
-    a = np.zeros((n, n), dtype=np.uint8)
-    for v in range(n):
-        for w in bits_of(g.rows[v]):
-            a[v, w] = 1
-    b = a[perms[:, :, None], perms[:, None, :]]
-    vals = b[:, ii, jj].astype(np.int64) @ weights
-    k = int(np.argmin(vals))
-    ties = int((vals == vals[k]).sum())
-    canon = Graph(n, _rows_from_matrix(b[k]))
-    return canon, tuple(int(x) for x in perms[k]), ties
-
-
-def _canon_backtrack(g: Graph) -> tuple[Graph, tuple[int, ...]]:
-    n = g.n
-    rows = g.rows
-
-    def column(prefix: list[int], v: int) -> int:
-        col = 0
-        for u in prefix:
-            col = (col << 1) | ((rows[u] >> v) & 1)
-        return col
-
-    # greedy first descent seeds the incumbent
-    prefix: list[int] = []
-    used = 0
-    best_cols: list[int] = []
-    for _ in range(n):
-        col, v = min((column(prefix, v), v) for v in range(n) if not (used >> v) & 1)
-        best_cols.append(col)
-        prefix.append(v)
-        used |= 1 << v
-    best_perm = prefix[:]
-
-    cur: list[int] = []
-
-    def rec(prefix: list[int], used: int) -> None:
-        nonlocal best_cols, best_perm
-        k = len(prefix)
-        if k == n:
-            if cur < best_cols:
-                best_cols = cur[:]
-                best_perm = prefix[:]
-            return
-        options = sorted((column(prefix, v), v) for v in range(n) if not (used >> v) & 1)
-        for col, v in options:
-            # best_cols may move while iterating, so compare fresh each time
-            head = best_cols[:k]
-            if cur > head or (cur == head and col > best_cols[k]):
-                break
-            cur.append(col)
-            prefix.append(v)
-            rec(prefix, used | (1 << v))
-            prefix.pop()
-            cur.pop()
-
-    rec([], 0)
-    perm = tuple(best_perm)
-    canon = relabel(g, perm)
-    return canon, perm
-
-
 @lru_cache(maxsize=1 << 17)
 def _canonical_cached(g: Graph) -> tuple[Graph, tuple[int, ...]]:
-    if g.n <= 1:
-        return g, tuple(range(g.n))
-    if g.n <= _CANON_NUMPY_MAX:
-        canon, perm, _ = _canon_scan_numpy(g)
-        return canon, perm
-    return _canon_backtrack(g)
+    # Depth-first search over vertex orders.  Column k of the candidate is the
+    # adjacency of the k-th placed vertex to those placed before it; only the
+    # vertices with the minimal next column can lead to the minimum, so only
+    # ties branch, and among tied twins one stands for all (swapping twins is
+    # an automorphism fixing every placed vertex).
+    rows = g.rows
+    best: list[int] | None = None
+    best_order: list[int] = []
+    cur: list[int] = []
+    order: list[int] = []
+
+    def search(cols: dict[int, int]) -> None:
+        nonlocal best, best_order
+        if not cols:
+            if best is None or cur < best:
+                best, best_order = cur[:], order[:]
+            return
+        k = len(cur)
+        m = min(cols.values())
+        # a prefix is never above the incumbent's: it was checked one level up
+        if best is not None and m > best[k] and cur == best[:k]:
+            return
+        cur.append(m)
+        tried: list[int] = []
+        for v, c in cols.items():
+            r = rows[v]
+            if c != m or any(not (rows[u] ^ r) & ~(1 << u | 1 << v) for u in tried):
+                continue
+            tried.append(v)
+            order.append(v)
+            search({u: cu << 1 | (r >> u & 1) for u, cu in cols.items() if u != v})
+            order.pop()
+        cur.pop()
+
+    search(dict.fromkeys(range(g.n), 0))
+    perm = tuple(best_order)
+    return relabel(g, perm), perm
 
 
 def canonical_form(g: Graph, cap: int = DEFAULT_CANONICAL_CAP) -> tuple[Graph, tuple[int, ...]]:
@@ -574,15 +514,6 @@ def canonical_form(g: Graph, cap: int = DEFAULT_CANONICAL_CAP) -> tuple[Graph, t
     if g.n > cap:
         raise CapExceeded(f"canonical_form capped at n<={cap}, got n={g.n}")
     return _canonical_cached(g)
-
-
-def automorphism_count(g: Graph) -> int:
-    """Order of the automorphism group (exhaustive scan, n <= 8)."""
-    if g.n > DEFAULT_ENUMERATION_CAP:
-        raise CapExceeded(f"automorphism_count capped at n<={DEFAULT_ENUMERATION_CAP}")
-    if g.n <= 1:
-        return 1
-    return _canon_scan_numpy(g)[2]
 
 
 def is_isomorphic(g: Graph, h: Graph, cap: int = DEFAULT_CANONICAL_CAP) -> bool:

@@ -171,63 +171,63 @@ def conjugate_basis(clifford_idx: int, basis: str, sign: int) -> tuple[str, int]
     return "xyz"[axis2], sign * s2
 
 
-def _run_sequence(g: Graph, steps):
-    """Thread measurements through accumulated byproducts; yields one record
-    per step: (orig_vertex, basis, sign, graph, byproduct_indices, prob)."""
+def run_sequence(g: Graph, steps, rng=None) -> tuple[list[dict], Graph, LocalClifford, Fraction]:
+    """Apply measurements (vertex, basis, outcome) in order, in one pass.
+
+    Vertices are labels of the *input* graph; each may be measured once.  An
+    outcome of None is drawn from rng (+1 when rng.random() < 0.5); if the
+    drawn outcome cannot occur, the other one, which is then certain, is taken.
+    Returns one JSON-ready record per step, the final graph, the total
+    byproduct on its vertices, and the probability of the outcome string.
+    """
     current = g
     orig_to_cur = {v: v for v in range(g.n)}
     byp = [CL_I] * g.n
     prob = Fraction(1)
+    transcript = []
     for vertex, basis, sign in steps:
         _check_basis(basis)
-        if sign not in (1, -1):
+        drawn = sign is None and rng is not None
+        if drawn:
+            sign = 1 if rng.random() < 0.5 else -1
+        elif sign not in (1, -1):
             raise ValueError("outcome must be +1 or -1")
         if vertex not in orig_to_cur:
             raise ValueError(f"vertex {vertex} already measured or out of range")
-        v = orig_to_cur[vertex]
+        v = orig_to_cur.pop(vertex)
         basis_eff, sign_eff = conjugate_basis(byp[v], basis, sign)
         if basis_eff == "x" and current.rows[v] == 0:
+            # the isolated vertex stays in the graph; only +1 can occur
             if sign_eff < 0:
-                raise ZeroProbabilityOutcome(
-                    f"outcome {sign:+d} for {basis} at vertex {vertex} cannot occur")
-            del orig_to_cur[vertex]
-            yield vertex, basis, sign, current, tuple(byp), prob
-            continue
-        out = measure_pauli(current, v, basis_eff)
-        w = out.byproduct_plus if sign_eff > 0 else out.byproduct_minus
-        rest = byp[:v] + byp[v + 1:]
-        byp = [CLIFFORD_COMPOSE[u][wi] for u, wi in zip(rest, w.indices)]
-        current = out.graph_after
-        del orig_to_cur[vertex]
-        for k in list(orig_to_cur):
-            if orig_to_cur[k] > v:
-                orig_to_cur[k] -= 1
-        prob *= Fraction(1, 2)
-        yield vertex, basis, sign, current, tuple(byp), prob
+                if not drawn:
+                    raise ZeroProbabilityOutcome(
+                        f"outcome {sign:+d} for {basis} at vertex {vertex} cannot occur")
+                sign = -sign
+        else:
+            out = measure_pauli(current, v, basis_eff)
+            w = out.byproduct_plus if sign_eff > 0 else out.byproduct_minus
+            rest = byp[:v] + byp[v + 1:]
+            byp = [CLIFFORD_COMPOSE[u][wi] for u, wi in zip(rest, w.indices)]
+            current = out.graph_after
+            for k in orig_to_cur:
+                if orig_to_cur[k] > v:
+                    orig_to_cur[k] -= 1
+            prob *= Fraction(1, 2)
+        transcript.append({
+            "vertex": vertex,
+            "basis": basis,
+            "outcome": sign,
+            "graph6_after": to_graph6(current),
+            "byproduct": str(LocalClifford(tuple(byp))),
+        })
+    return transcript, current, LocalClifford(tuple(byp)), prob
 
 
 def apply_sequence(g: Graph, steps) -> tuple[Graph, LocalClifford, Fraction]:
-    """Apply measurements (vertex, basis, outcome) in order.
-
-    Vertices are labels of the *input* graph; each may be measured once.
-    Returns the final graph, the total byproduct on its vertices, and the
-    probability of the requested outcome string.
-    """
-    current, byp, prob = g, tuple([CL_I] * g.n), Fraction(1)
-    for _, _, _, current, byp, prob in _run_sequence(g, steps):
-        pass
-    return current, LocalClifford(byp), prob
+    """The final graph, byproduct and probability of run_sequence."""
+    return run_sequence(g, steps)[1:]
 
 
 def sequence_transcript(g: Graph, steps) -> list[dict]:
     """One JSON-ready record per step."""
-    out = []
-    for vertex, basis, sign, graph, byp, _ in _run_sequence(g, steps):
-        out.append({
-            "vertex": vertex,
-            "basis": basis,
-            "outcome": sign,
-            "graph6_after": to_graph6(graph),
-            "byproduct": str(LocalClifford(byp)),
-        })
-    return out
+    return run_sequence(g, steps)[0]

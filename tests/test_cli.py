@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+from graphstates import measurement
 from graphstates.cli import main
 from graphstates.graphs import cycle_graph, empty_graph, star_graph, to_graph6
 
@@ -85,6 +86,29 @@ def test_measure_sampled_signs_are_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(["measure", g6, "x0", "y2", "--seed", "7"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_measure_takes_the_certain_outcome_when_the_drawn_one_cannot_occur(capsys):
+    # after z0- the byproduct Z on the isolated vertex 1 makes x1- certain;
+    # seed 1 draws +1
+    assert main(["measure", "A_", "z0-", "x1", "--seed", "1"]) == 0
+    assert "x1-" in capsys.readouterr().out
+
+
+def test_measure_resolves_unsigned_steps_in_one_pass(monkeypatch):
+    calls = []
+    real = measurement.measure_pauli
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(measurement, "measure_pauli", counting)
+    g6 = to_graph6(cycle_graph(12))
+    for k in (3, 6, 9):
+        calls.clear()
+        assert main(["measure", g6, *(f"z{v}" for v in range(k)), "--seed", "0"]) == 0
+        assert len(calls) == k
 
 
 def test_orbit_star(capsys):

@@ -1,18 +1,19 @@
 """Graph edits, covers, canonical forms, enumeration, and graph6 round trips."""
 
+import functools
 import itertools
 import math
 import random
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from graphstates.graphs import (
+    DEFAULT_CANONICAL_CAP,
     CapExceeded,
     Graph,
-    _canon_backtrack,
-    _canon_scan_numpy,
     as_mask,
-    automorphism_count,
     bits_of,
     canonical_form,
     complete_graph,
@@ -189,24 +190,64 @@ def test_isomorphism():
     assert is_isomorphic(cycle_graph(5), relabel(cycle_graph(5), (3, 1, 4, 2, 0)))
 
 
-def test_backtracking_canonicalizer_matches_scan():
+@functools.lru_cache(maxsize=None)
+def _permutation_table(n):
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+
+
+def _brute_canonical(g):
+    """Oracle: scan all n! relabellings for the minimal upper-triangle string,
+    read column by column.  Returns (canonical rows, order of Aut(g))."""
+    n = g.n
+    if n <= 1:
+        return g.rows, 1
+    perms = _permutation_table(n)
+    a = np.zeros((n, n), dtype=np.int64)
+    for v in range(n):
+        for w in bits_of(g.rows[v]):
+            a[v, w] = 1
+    ii, jj = zip(*((i, j) for j in range(1, n) for i in range(j)))
+    weights = 1 << np.arange(len(ii) - 1, -1, -1, dtype=np.int64)
+    vals = a[perms[:, ii], perms[:, jj]] @ weights
+    k = int(np.argmin(vals))
+    best = relabel(g, [int(x) for x in perms[k]]).rows
+    return best, int((vals == vals[k]).sum())
+
+
+def test_canonical_form_matches_brute_force():
     rng = random.Random(7)
-    for _ in range(50):
-        g = random_connected_graph(rng, rng.randrange(4, 8))
-        assert _canon_backtrack(g)[0].rows == _canon_scan_numpy(g)[0].rows
-    for _ in range(5):
-        g = random_connected_graph(rng, 8)
-        assert _canon_backtrack(g)[0].rows == _canon_scan_numpy(g)[0].rows
-    for g in (complete_graph(6), cycle_graph(7), star_graph(7),
-              cycle_graph(8), star_graph(8), grid_graph(2, 4)):
-        assert _canon_backtrack(g)[0].rows == _canon_scan_numpy(g)[0].rows
+    graphs = [random_connected_graph(rng, rng.randrange(4, 8)) for _ in range(50)]
+    graphs += [random_connected_graph(rng, 8) for _ in range(5)]
+    graphs += [complete_graph(6), cycle_graph(7), star_graph(7), empty_graph(7),
+               cycle_graph(8), star_graph(8), grid_graph(2, 4)]
+    for g in graphs:
+        canon, perm = canonical_form(g)
+        assert canon.rows == _brute_canonical(g)[0]
+        assert relabel(g, perm).rows == canon.rows
 
 
-def test_automorphism_count_up_to_eight_vertices():
-    assert automorphism_count(complete_graph(8)) == 40320
-    assert automorphism_count(cycle_graph(8)) == 16
+def _nx_graph(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def test_canonical_form_on_symmetric_graphs_at_the_cap():
+    n = DEFAULT_CANONICAL_CAP
+    matching = [(2 * i, 2 * i + 1) for i in range(n // 2)]
+    two_rings = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+    cocktail_party = [(i, j) for j in range(n) for i in range(j) if (i, j) not in matching]
+    rng = random.Random(10)
+    for g in (complete_graph(n), empty_graph(n), star_graph(n), petersen_graph(),
+              from_edges(n, matching), from_edges(n, two_rings), from_edges(n, cocktail_party)):
+        canon, perm = canonical_form(g)
+        assert relabel(g, perm).rows == canon.rows
+        assert nx.is_isomorphic(_nx_graph(canon), _nx_graph(g))
+        for _ in range(3):
+            assert canonical_form(relabel(g, rng.sample(range(n), n)))[0].rows == canon.rows
     with pytest.raises(CapExceeded):
-        automorphism_count(cycle_graph(9))
+        canonical_form(complete_graph(n + 1))
 
 
 def _brute_connected_classes(n):
@@ -255,7 +296,7 @@ def test_enumeration_has_no_duplicates_and_is_connected(connected_classes):
 def test_enumeration_completeness_by_labeled_count(connected_classes):
     # sum over classes of n!/|Aut| must equal the labeled connected count
     for n in (5, 6, 7):
-        total = sum(math.factorial(n) // automorphism_count(g)
+        total = sum(math.factorial(n) // _brute_canonical(g)[1]
                     for g in connected_classes[n])
         assert total == connected_labeled_graph_count(n)
 
