@@ -67,6 +67,7 @@ from .orbits import (
     classify,
     classify_full,
     lc_closure_with_relabelings,
+    lc_equivalence_witness,
     lc_equivalent,
     lc_orbit,
     rank_list_fingerprint,

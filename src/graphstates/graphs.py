@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 
 DEFAULT_CANONICAL_CAP = 10
 DEFAULT_ENUMERATION_CAP = 8
+RANDOM_GRAPH_DRAW_CAP = 10_000  # disconnected draws before random_connected_graph gives up
 
 
 class CapExceeded(RuntimeError):
@@ -183,15 +184,24 @@ def relabel(g: Graph, perm) -> Graph:
 
 
 def random_connected_graph(rng, n: int, p: float = 0.5) -> Graph:
-    """Sample G(n, p) conditioned on connectivity (rejection sampling)."""
+    """Sample G(n, p) conditioned on connectivity (rejection sampling).
+
+    Raises CapExceeded after RANDOM_GRAPH_DRAW_CAP disconnected draws in a
+    row, which only a small p makes likely.
+    """
     if n < 1:
         raise ValueError("need at least one vertex")
-    while True:
+    if not 0 <= p <= 1:
+        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+    if p == 0 and n >= 2:
+        raise ValueError("G(n, 0) is never connected for n >= 2")
+    for _ in range(RANDOM_GRAPH_DRAW_CAP):
         edges = [(a, b) for a in range(n) for b in range(a + 1, n)
                  if rng.random() < p]
         g = from_edges(n, edges)
         if is_connected(g):
             return g
+    raise CapExceeded(f"no connected G({n}, {p}) in {RANDOM_GRAPH_DRAW_CAP} draws")
 
 
 def random_tree(rng, n: int) -> Graph:

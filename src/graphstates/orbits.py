@@ -1,11 +1,23 @@
-"""Local-complementation orbits and the classification of connected graphs
-under local complementation plus isomorphism.
+"""Local-complementation orbits, local-Clifford equivalence, and the
+classification of connected graphs under local complementation plus
+isomorphism.
 
 A labeled orbit is the closure of a graph under complementing vertex
-neighborhoods.  Quotienting by canonical forms turns orbit membership into an
-equivalence on isomorphism classes; the classifier computes that quotient for
-all connected graphs up to a vertex cap, together with the invariants of each
-class (Schmidt-rank extrema, rank indices, 2-colorability).
+neighborhoods; lc_orbit lists it by breadth-first search.  Whether two
+labeled graphs share an orbit (equivalently, whether their graph states are
+local-Clifford equivalent) is decided without the orbit, by a linear system
+over GF(2) for the binary part of a local Clifford (Van den Nest, Dehaene &
+De Moor, PRA 70, 034302, 2004).  Its kernel is searched with Bouchet's lemma
+(Combinatorica 11, 1991): for connected graphs with a kernel of dimension
+above 4, an invertible solution exists only if a basis vector or a sum of two
+basis vectors is one.  LC never moves a vertex to another component, so
+disconnected graphs are compared component by component.  The test returns a
+LocalClifford witness, checked against the stabilizer groups of both graphs.
+
+Quotienting by canonical forms turns orbit membership into an equivalence on
+isomorphism classes; the classifier computes that quotient for all connected
+graphs up to a vertex cap, together with the invariants of each class
+(Schmidt-rank extrema, rank indices, 2-colorability).
 """
 
 from __future__ import annotations
@@ -13,18 +25,33 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 
 from .entanglement import _bounds_parts, _cross_rank, rank_index
+from .gf2 import gf2_kernel_basis
 from .graphs import (
     CapExceeded,
     Graph,
     bits_of,
     canonical_form,
+    connected_components,
     enumerate_connected,
+    induced_subgraph,
     local_complement,
     parse_graph6,
     to_graph6,
     two_coloring,
+)
+from .stabilizer import (
+    CL_I,
+    CL_Z,
+    CLIFFORD_BY_ACTION,
+    LocalClifford,
+    clifford_compose,
+    clifford_conjugate_pauli,
+    embed_clifford,
+    stabilizer_element,
+    stabilizer_generator,
 )
 
 ORBIT_LIMIT_DEFAULT = 10 ** 6
@@ -47,14 +74,8 @@ def _lc_neighbor_rows(rows: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _orbit_rows(g: Graph, limit: int, target: tuple[int, ...] | None = None):
-    """BFS closure under local complementation on raw adjacency tuples.
-
-    With a target, returns True/False for membership (early exit); otherwise
-    returns the full set of member row-tuples.
-    """
-    if target is not None and g.rows == target:
-        return True
+def _orbit_rows(g: Graph, limit: int) -> set[tuple[int, ...]]:
+    """BFS closure under local complementation on raw adjacency tuples."""
     seen = {g.rows}
     frontier = [g.rows]
     n = g.n
@@ -64,14 +85,12 @@ def _orbit_rows(g: Graph, limit: int, target: tuple[int, ...] | None = None):
             for t in _lc_neighbor_rows(rows, n):
                 if t in seen:
                     continue
-                if target is not None and t == target:
-                    return True
                 seen.add(t)
                 nxt.append(t)
                 if len(seen) > limit:
                     raise CapExceeded(f"orbit exceeded {limit} members")
         frontier = nxt
-    return False if target is not None else seen
+    return seen
 
 
 def lc_orbit(g: Graph, limit: int = ORBIT_LIMIT_DEFAULT) -> list[Graph]:
@@ -138,15 +157,106 @@ def rank_list_fingerprint(g: Graph, cap: int = 20) -> tuple[tuple[int, int], ...
     return tuple(sorted(out))
 
 
-def lc_equivalent(g: Graph, h: Graph, limit: int = ORBIT_LIMIT_DEFAULT) -> bool:
-    """Whether two labeled graphs are related by local complementations."""
+def _lc_system(g: Graph, h: Graph) -> set[int]:
+    """Nonzero rows of  G_h A + G_h B G_g + C + D G_g = 0  over GF(2).
+
+    A, B, C, D are diagonal; unknown a_i is bit i, b_i bit n + i, c_i bit
+    2n + i and d_i bit 3n + i.  Entry (j, k) reads
+    h_jk a_k + sum_i h_ji g_ik b_i + [j = k] c_j + g_jk d_j.
+    """
+    n = g.n
+    rows = set()
+    for j in range(n):
+        hj, gj = h.rows[j], g.rows[j]
+        for k in range(n):
+            r = (hj & (1 << k)) | ((hj & g.rows[k]) << n) | (((gj >> k) & 1) << (3 * n + j))
+            if j == k:
+                r |= 1 << (2 * n + j)
+            if r:
+                rows.add(r)
+    return rows
+
+
+def _invertible_solution(g: Graph, h: Graph) -> int | None:
+    """A solution of _lc_system with a_i d_i + b_i c_i = 1 at every vertex,
+    packed as in _lc_system, or None.  Both graphs must be connected."""
+    n = g.n
+    full = g.vertex_mask()
+    basis = gf2_kernel_basis(_lc_system(g, h), 4 * n)
+    if len(basis) <= 4:
+        candidates = [0]
+        for u in basis:
+            candidates += [v ^ u for v in candidates]
+    else:  # Bouchet: some basis vector or sum of two is invertible, if any is
+        candidates = basis + [u ^ w for u, w in combinations(basis, 2)]
+    for v in candidates:
+        a, b, c, d = v & full, (v >> n) & full, (v >> 2 * n) & full, v >> 3 * n
+        if (a & d) ^ (b & c) == full:
+            return v
+    return None
+
+
+def lc_equivalence_witness(g: Graph, h: Graph) -> LocalClifford | None:
+    """A local Clifford W with W|g> = |h> up to global phase, or None when
+    the two labeled graph states are not local-Clifford equivalent.
+
+    The binary part of W comes from the linear system of Van den Nest,
+    Dehaene and De Moor, solved per connected component (see
+    lc_equivalent).  W is then made exact: conjugating each generator K_a of
+    g must give the element of h's stabilizer group with the same X-part,
+    and the signs that disagree are fixed by Z on the vertices t solving
+    x_a . t = s_a over GF(2).  Every conjugated generator is compared with
+    h's group, so a wrong binary part raises AssertionError rather than
+    returning a false witness.
+    """
     if g.n != h.n:
         raise ValueError("graphs must share a vertex set")
-    if g.rows == h.rows:
-        return True
-    if g.n <= 12 and schmidt_rank_list(g) != schmidt_rank_list(h):
-        return False  # the rank list is orbit-constant
-    return bool(_orbit_rows(g, limit, target=h.rows))
+    n = g.n
+    comps = connected_components(g)
+    if comps != connected_components(h):
+        return None  # local complementation never moves a vertex between components
+    indices = [CL_I] * n
+    for mask in comps:
+        v = _invertible_solution(induced_subgraph(g, mask), induced_subgraph(h, mask))
+        if v is None:
+            return None
+        k = mask.bit_count()
+        for i, vertex in enumerate(bits_of(mask)):
+            action = tuple((v >> (s * k + i)) & 1 for s in range(4))
+            indices[vertex] = CLIFFORD_BY_ACTION[action]
+    u = LocalClifford(tuple(indices))
+    rows = []
+    for a in range(n):
+        image = clifford_conjugate_pauli(u, stabilizer_generator(g, a))
+        target = stabilizer_element(h, image.x)
+        flip = (image.phase - target.phase) % 4
+        if image.z != target.z or flip % 2:
+            raise AssertionError("the solution does not map g's stabilizer onto h's")
+        rows.append(image.x | (flip // 2) << n)
+    (t,) = gf2_kernel_basis(rows, n + 1)  # the X-parts x_a are independent
+    flips = embed_clifford(n, {v: CL_Z for v in bits_of(t & g.vertex_mask())})
+    return clifford_compose(flips, u)
+
+
+def lc_equivalent(g: Graph, h: Graph) -> bool:
+    """Whether two labeled graphs are related by local complementations,
+    that is, whether their graph states are local-Clifford equivalent.
+
+    Decided in polynomial time, without walking the orbit.  A local Clifford
+    acts at vertex i as an invertible 2x2 matrix [[a_i, b_i], [c_i, d_i]]
+    over GF(2) on the (X, Z) bits, and it maps the stabilizer of g onto that
+    of h exactly when the diagonal A, B, C, D solve
+    G_h A + G_h B G_g + C + D G_g = 0 with a_i d_i + b_i c_i = 1 at every
+    vertex (Van den Nest, Dehaene & De Moor, PRA 70, 034302, 2004).  The n^2
+    equations in 4n unknowns are solved by a GF(2) kernel basis.  When the
+    kernel has dimension at most 4 every element is tried; otherwise, for
+    connected graphs, an invertible solution exists only if a basis vector or
+    the sum of two basis vectors is one (Bouchet, Combinatorica 11, 1991).
+    That lemma needs connected graphs, so the two component partitions are
+    compared first and each component is solved on its own.  The answer is
+    whether lc_equivalence_witness finds a witness.
+    """
+    return lc_equivalence_witness(g, h) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,21 @@ _BITS_TO_AXIS = {(1, 0): AXIS_X, (1, 1): AXIS_Y, (0, 1): AXIS_Z}
 _AXIS_TO_BITS = {AXIS_X: (1, 0), AXIS_Y: (1, 1), AXIS_Z: (0, 1)}
 
 
+def _build_action_index() -> dict[tuple[int, int, int, int], int]:
+    out: dict[tuple[int, int, int, int], int] = {}
+    for idx, images in enumerate(CLIFFORD_AXIS_IMAGE):
+        a, c = _AXIS_TO_BITS[images[AXIS_X][0]]
+        b, d = _AXIS_TO_BITS[images[AXIS_Z][0]]
+        out.setdefault((a, b, c, d), idx)
+    return out
+
+
+# Binary action (a, b, c, d) -> the lowest Clifford index with that action:
+# X goes to X^a Z^c and Z to X^b Z^d, up to sign.  The six invertible 2x2
+# matrices over GF(2) each take four of the 24 indices, one per Pauli factor.
+CLIFFORD_BY_ACTION = _build_action_index()
+
+
 def clifford_conjugate_pauli(u: LocalClifford, p: PauliOp) -> PauliOp:
     """U p U^dagger, staying inside the Pauli group."""
     if u.n != p.n:

@@ -343,6 +343,28 @@ def test_random_tree_is_tree():
         assert is_connected(t) and t.edge_count == n - 1
 
 
+def test_random_connected_graph_draws_are_pinned():
+    # seeded draws that tests and `verify` rely on
+    for seed, n, g6 in [(0, 5, "DFg"), (1, 7, "F`rtW"), (2, 9, "HCdRjyh"),
+                        (3, 12, "KlON|GWgCPAR")]:
+        assert to_graph6(random_connected_graph(random.Random(seed), n)) == g6
+    rng = random.Random(7)
+    assert [to_graph6(random_connected_graph(rng, n)) for n in (2, 3, 4)] == ["A_", "Bg", "CV"]
+
+
+def test_random_connected_graph_rejects_hopeless_p():
+    rng = random.Random(0)
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            random_connected_graph(rng, 5, p)
+    with pytest.raises(ValueError):
+        random_connected_graph(rng, 2, 0.0)
+    assert random_connected_graph(rng, 1, 0.0) == empty_graph(1)
+    assert random_connected_graph(rng, 4, 1.0) == complete_graph(4)
+    with pytest.raises(CapExceeded):  # fails fast instead of drawing for minutes
+        random_connected_graph(rng, 7, 0.01)
+
+
 def test_petersen_shape():
     g = petersen_graph()
     assert g.n == 10 and g.edge_count == 15

@@ -3,8 +3,10 @@
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphstates import orbits
 from graphstates.graphs import (
@@ -12,16 +14,52 @@ from graphstates.graphs import (
     canonical_form,
     complete_graph,
     cycle_graph,
+    empty_graph,
     from_edges,
+    grid_graph,
     local_complement,
     parse_graph6,
     path_graph,
+    petersen_graph,
     random_connected_graph,
     relabel,
     star_graph,
     to_graph6,
+    toggle_edge,
     two_coloring,
 )
+from graphstates.oracle import apply_local_clifford, equal_up_to_global_phase, graph_state
+from graphstates.stabilizer import (
+    clifford_conjugate_pauli,
+    stabilizer_element,
+    stabilizer_generator,
+)
+
+LC_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "lc_pool.json"
+
+
+def _all_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for m in range(1 << len(pairs)):
+        yield from_edges(n, [p for i, p in enumerate(pairs) if (m >> i) & 1])
+
+
+def _scramble(rng, g, steps):
+    for _ in range(steps):
+        g = local_complement(g, rng.randrange(g.n))
+    return g
+
+
+def _assert_witness(g, h, w):
+    """w maps every generator of g onto h's stabilizer group, phase included,
+    and, for n <= 10, maps the state of g onto that of h."""
+    assert w is not None and w.n == g.n
+    for a in range(g.n):
+        image = clifford_conjugate_pauli(w, stabilizer_generator(g, a))
+        assert image == stabilizer_element(h, image.x)
+    if g.n <= 10:
+        assert equal_up_to_global_phase(apply_local_clifford(graph_state(g), w),
+                                        graph_state(h))
 
 
 def test_single_edge_orbit_is_trivial():
@@ -73,6 +111,103 @@ def test_lc_equivalence_is_symmetric_and_respects_moves():
         h = local_complement(g, a)
         assert orbits.lc_equivalent(g, h)
         assert orbits.lc_equivalent(h, g)
+
+
+def test_lc_equivalent_matches_orbit_walk_on_every_small_pair():
+    # every ordered pair of labeled graphs on up to 4 vertices, disconnected
+    # ones included; the orbit listing is the oracle
+    for n in range(5):
+        graphs = list(_all_graphs(n))
+        orbit_of = {}
+        for g in graphs:
+            if g.rows not in orbit_of:
+                orbit = frozenset(x.rows for x in orbits.lc_orbit(g))
+                orbit_of.update(dict.fromkeys(orbit, orbit))
+        for g in graphs:
+            for h in graphs:
+                w = orbits.lc_equivalence_witness(g, h)
+                assert (w is not None) == (h.rows in orbit_of[g.rows])
+                if w is not None:
+                    _assert_witness(g, h, w)
+
+
+def test_lc_equivalent_matches_orbit_walk_on_seeded_pairs():
+    rng = random.Random(29)
+    for n in range(5, 9):
+        pairs = list(itertools.combinations(range(n), 2))
+        for _ in range(6):
+            g = from_edges(n, [e for e in pairs if rng.random() < 0.4])
+            orbit = {x.rows for x in orbits.lc_orbit(g)}
+            scrambled = _scramble(rng, g, 3 * n)
+            unrelated = from_edges(n, [e for e in pairs if rng.random() < 0.4])
+            relabelled = relabel(scrambled, rng.sample(range(n), n))
+            for h in (scrambled, unrelated, relabelled):
+                w = orbits.lc_equivalence_witness(g, h)
+                assert (w is not None) == (h.rows in orbit)
+                assert orbits.lc_equivalent(g, h) == (h.rows in orbit)
+                if w is not None:
+                    _assert_witness(g, h, w)
+
+
+def test_lc_equivalent_splits_components():
+    for n in (0, 1, 5):
+        g = empty_graph(n)
+        _assert_witness(g, g, orbits.lc_equivalence_witness(g, g))
+    # a triangle and a 3-path swapped by a relabelling: the same component
+    # partition, and the triangle is the 3-path complemented at its middle
+    g = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
+    h = relabel(g, (3, 4, 5, 0, 1, 2))
+    _assert_witness(g, h, orbits.lc_equivalence_witness(g, h))
+    # a 4-path and an edge swapped: the partitions differ
+    g = from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+    h = relabel(g, (2, 3, 4, 5, 0, 1))
+    assert orbits.lc_equivalence_witness(g, h) is None
+    assert not orbits.lc_equivalent(from_edges(3, [(0, 1)]), from_edges(3, [(1, 2)]))
+
+
+def test_witnesses_on_the_benchmark_pool():
+    pool = json.loads(LC_POOL.read_text())
+    rng = random.Random(30)
+    for entry in pool["equivalent"]:
+        base = parse_graph6(entry["graph6"])
+        g, h = _scramble(rng, base, 2 * base.n), _scramble(rng, base, 2 * base.n)
+        _assert_witness(g, h, orbits.lc_equivalence_witness(g, h))
+    families = set()
+    for entry in pool["inequivalent"]:
+        g, h = parse_graph6(entry["graph6_a"]), parse_graph6(entry["graph6_b"])
+        assert orbits.lc_equivalence_witness(g, h) is None
+        families.add(entry["family"])
+    assert "petersen spoke swap" in families and len(families) == 6
+    p = petersen_graph()
+    assert orbits.lc_equivalence_witness(p, relabel(p, (5, 6, 7, 8, 9, 0, 1, 2, 3, 4))) is None
+
+
+def test_witness_for_a_cluster_state_beyond_the_orbit_walk():
+    rng = random.Random(31)
+    g = grid_graph(6, 6)
+    h = _scramble(rng, g, 72)
+    _assert_witness(g, h, orbits.lc_equivalence_witness(g, h))
+    assert orbits.lc_equivalence_witness(g, toggle_edge(h, 0, 35)) is None
+
+
+@st.composite
+def _graph_and_scramble(draw):
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    h = g
+    for a in draw(st.lists(st.integers(0, n - 1), max_size=3 * n)):
+        h = local_complement(h, a)
+    return g, h
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_graph_and_scramble())
+def test_scrambles_are_lc_equivalent_with_a_checked_witness(pair):
+    g, h = pair
+    assert orbits.lc_equivalent(g, h)
+    _assert_witness(g, h, orbits.lc_equivalence_witness(g, h))
 
 
 def test_rank_list_is_constant_on_orbits():
