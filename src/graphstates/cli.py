@@ -44,6 +44,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than low, else a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _load_graphs(spec: str) -> list[Graph]:
     if spec == "-":
         text = sys.stdin.read()
@@ -242,7 +253,7 @@ def _build_parser() -> _Parser:
     b.add_argument("graph", help="graph6 string, file of graph6 lines, or -")
     b.add_argument("--format", choices=("text", "csv", "json"), default="text")
     b.add_argument("--max-vertices", type=int, default=12)
-    b.add_argument("--depth-limit", type=int, default=None,
+    b.add_argument("--depth-limit", type=_int_at_least(0), default=None,
                    help="limit persistency search depth (upper bound stays valid)")
     b.add_argument("--output")
     b.set_defaults(func=_cmd_bounds)
@@ -274,8 +285,8 @@ def _build_parser() -> _Parser:
 
     v = sub.add_parser("verify", help="randomized state-vector verification")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--max-vertices", type=int, default=8)
-    v.add_argument("--trials", type=int, default=50)
+    v.add_argument("--max-vertices", type=_int_at_least(2), default=8)
+    v.add_argument("--trials", type=_int_at_least(1), default=50)
     v.set_defaults(func=_cmd_verify)
     return p
 

@@ -4,6 +4,14 @@ Adjacency is stored as one int bitmask per vertex (bit b of rows[a] set iff
 {a,b} is an edge).  Graphs are immutable values: every edit returns a new
 Graph.  Vertex subsets are plain int masks throughout; helpers convert from
 iterables of vertex indices.
+
+Rows are validated once, where they enter: Graph(n, rows) itself, the
+public constructors (from_edges, complete_graph, ...) and parse_graph6.  A
+function that derives a graph from a valid Graph (an edit, a relabelling, a
+local complementation, an induced subgraph) builds it with _graph, which
+skips the check: its arguments were checked already, and the rewrite keeps
+the rows symmetric, loop-free and in range.  Inner loops such as the
+persistency search build hundreds of thousands of such graphs.
 """
 
 from __future__ import annotations
@@ -25,7 +33,11 @@ class CapExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple graph: symmetric bit-matrix adjacency with zero diagonal."""
+    """Simple graph: symmetric bit-matrix adjacency with zero diagonal.
+
+    Constructing a Graph validates the rows (__post_init__); graphs derived
+    from a valid Graph inside this package are built by _graph without it.
+    """
 
     n: int
     rows: tuple[int, ...]
@@ -83,6 +95,18 @@ class Graph:
     def _check_vertex(self, a: int) -> None:
         if not 0 <= a < self.n:
             raise IndexError(f"vertex {a} out of range for n={self.n}")
+
+
+def _graph(n: int, rows: tuple[int, ...]) -> Graph:
+    """Graph from rows known to be valid, without running __post_init__.
+
+    Only for graphs derived from an already valid Graph; outside input goes
+    through Graph(n, rows).
+    """
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "rows", rows)
+    return g
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -180,7 +204,7 @@ def relabel(g: Graph, perm) -> Graph:
             if (old >> perm[j]) & 1:
                 r |= 1 << j
         rows.append(r)
-    return Graph(g.n, tuple(rows))
+    return _graph(g.n, tuple(rows))
 
 
 def random_connected_graph(rng, n: int, p: float = 0.5) -> Graph:
@@ -240,7 +264,7 @@ def toggle_edge(g: Graph, a: int, b: int) -> Graph:
     rows = list(g.rows)
     rows[a] ^= 1 << b
     rows[b] ^= 1 << a
-    return Graph(g.n, tuple(rows))
+    return _graph(g.n, tuple(rows))
 
 
 def delete_vertex(g: Graph, a: int) -> Graph:
@@ -253,7 +277,7 @@ def delete_vertex(g: Graph, a: int) -> Graph:
             continue
         r = g.rows[v]
         rows.append((r & low) | ((r >> (a + 1)) << a))
-    return Graph(g.n - 1, tuple(rows))
+    return _graph(g.n - 1, tuple(rows))
 
 
 def delete_vertices(g: Graph, subset) -> Graph:
@@ -276,7 +300,7 @@ def induced_subgraph(g: Graph, subset) -> Graph:
         for w in bits_of(g.rows[v] & mask):
             r |= 1 << pos[w]
         rows.append(r)
-    return Graph(len(keep), tuple(rows))
+    return _graph(len(keep), tuple(rows))
 
 
 def sym_diff_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -294,7 +318,7 @@ def sym_diff_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
         seen.add(key)
         rows[a] ^= 1 << b
         rows[b] ^= 1 << a
-    return Graph(g.n, tuple(rows))
+    return _graph(g.n, tuple(rows))
 
 
 def edges_between(g: Graph, a_set, b_set) -> list[tuple[int, int]]:
@@ -319,7 +343,7 @@ def _lc_rows(rows: tuple[int, ...], a: int) -> tuple[int, ...]:
 def local_complement(g: Graph, a: int) -> Graph:
     """Complement the subgraph induced on the neighborhood of a."""
     g._check_vertex(a)
-    return Graph(g.n, _lc_rows(g.rows, a))
+    return _graph(g.n, _lc_rows(g.rows, a))
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +565,7 @@ def _add_vertex(h: Graph, neighbor_mask: int) -> Graph:
     n = h.n + 1
     rows = [h.rows[i] | (((neighbor_mask >> i) & 1) << (n - 1)) for i in range(h.n)]
     rows.append(neighbor_mask)
-    return Graph(n, tuple(rows))
+    return _graph(n, tuple(rows))
 
 
 @lru_cache(maxsize=None)

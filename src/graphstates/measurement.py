@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .graphs import Graph, bits_of, delete_vertex, local_complement, to_graph6
+from .graphs import Graph, _graph, bits_of, delete_vertex, local_complement, to_graph6
 from .stabilizer import (
     CL_I,
     CL_SQRT_IY,
@@ -77,7 +77,7 @@ def _toggle_pairs(g: Graph, pairs) -> Graph:
     for u, v in pairs:
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
-    return Graph(g.n, tuple(rows))
+    return _graph(g.n, tuple(rows))
 
 
 def _shift_down(assignments: dict[int, int], removed: int) -> dict[int, int]:

@@ -32,6 +32,7 @@ from .gf2 import gf2_kernel_basis
 from .graphs import (
     CapExceeded,
     Graph,
+    _graph,
     bits_of,
     canonical_form,
     connected_components,
@@ -96,7 +97,7 @@ def _orbit_rows(g: Graph, limit: int) -> set[tuple[int, ...]]:
 def lc_orbit(g: Graph, limit: int = ORBIT_LIMIT_DEFAULT) -> list[Graph]:
     """All labeled graphs reachable by local complementations, sorted."""
     rows_set = _orbit_rows(g, limit)
-    return [Graph(g.n, rows) for rows in sorted(rows_set)]
+    return [_graph(g.n, rows) for rows in sorted(rows_set)]
 
 
 def _swap_labels(rows: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
@@ -127,7 +128,7 @@ def lc_closure_with_relabelings(g: Graph, limit: int = ORBIT_LIMIT_DEFAULT) -> l
                     if len(seen) > limit:
                         raise CapExceeded(f"closure exceeded {limit} members")
         frontier = nxt
-    return [Graph(g.n, rows) for rows in sorted(seen)]
+    return [_graph(g.n, rows) for rows in sorted(seen)]
 
 
 def schmidt_rank_list(g: Graph, cap: int = 20) -> tuple[int, ...]:

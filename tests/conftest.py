@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from graphstates import orbits
 from graphstates.graphs import enumerate_connected
+
+# One profile for every property test: the same examples on every run, no
+# per-example deadline on a shared host, and a bounded example count.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=60)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from graphstates import measurement
 from graphstates.cli import main
 from graphstates.graphs import cycle_graph, empty_graph, star_graph, to_graph6
@@ -49,6 +51,27 @@ def test_parse_failure_exits_one(capsys):
 
 def test_usage_error_exits_one(capsys):
     assert main(["bounds"]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--trials", "-1"], "argument --trials: must be at least 1, got -1"),
+    (["verify", "--trials", "0"], "argument --trials: must be at least 1, got 0"),
+    (["verify", "--max-vertices", "1"], "argument --max-vertices: must be at least 2, got 1"),
+    (["bounds", "A_", "--depth-limit", "-3"], "argument --depth-limit: must be at least 0, got -3"),
+    (["bounds", "A_", "--depth-limit", "x"], "argument --depth-limit: invalid int value: 'x'"),
+])
+def test_out_of_range_integers_are_usage_errors(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
+def test_smallest_accepted_integers(capsys):
+    assert main(["bounds", to_graph6(cycle_graph(5)), "--depth-limit", "0"]) == 0
+    assert "upper=3" in capsys.readouterr().out  # the cover stands in
+    assert main(["verify", "--trials", "1", "--max-vertices", "2"]) == 0
+    assert "all checks passed over 1 trials" in capsys.readouterr().out
 
 
 def test_cap_exceeded_exits_two(capsys):

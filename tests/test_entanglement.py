@@ -1,11 +1,14 @@
 """Schmidt ranks, rank indices, bounds, and the persistency search."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from graphstates import oracle
+from graphstates import entanglement, oracle
 from graphstates.entanglement import (
+    SEARCH_NODE_CAP,
     bounds,
     lower_bound_max_rank,
     max_rank_criterion,
@@ -16,18 +19,28 @@ from graphstates.entanglement import (
 )
 from graphstates.graphs import (
     CapExceeded,
+    bits_of,
     complete_graph,
+    connected_components,
     cycle_graph,
     delete_vertex,
+    enumerate_connected,
     from_edges,
+    greedy_vertex_cover,
     grid_graph,
     min_vertex_cover,
+    parse_graph6,
     path_graph,
     random_connected_graph,
     random_tree,
+    relabel,
     star_graph,
     toggle_edge,
 )
+from graphstates.measurement import measure_via_lc
+from graphstates.orbits import lc_equivalent
+
+BOUNDS_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "bounds_pool.json"
 
 
 def _mask(vs):
@@ -130,6 +143,123 @@ def test_bounds_odd_ring_gap():
 def test_persistency_cap():
     with pytest.raises(CapExceeded):
         pauli_persistency(cycle_graph(9))  # gap case above the search cap
+
+
+def test_persistency_node_cap():
+    # G(12, 0.35) with lower 6 and cover 7: the search would run for minutes
+    g = parse_graph6("KVp`qtKGUrkO")
+    assert (lower_bound_max_rank(g), min_vertex_cover(g).bit_count()) == (6, 7)
+    with pytest.raises(CapExceeded, match=str(SEARCH_NODE_CAP)):
+        pauli_persistency(g, search_cap=12)
+
+
+def _reference_can_disentangle(g, budget, memo):
+    """The persistency search without twin pruning or node cap."""
+    if all(r == 0 for r in g.rows):
+        return True
+    if budget <= 0:
+        return False
+    if greedy_vertex_cover(g).bit_count() <= budget:
+        return True
+    with_edges = [c for c in connected_components(g) if any(g.rows[v] for v in bits_of(c))]
+    if len(with_edges) > budget:
+        return False
+    key = (g.rows, budget)
+    if key not in memo:
+        memo[key] = any(
+            _reference_can_disentangle(measure_via_lc(g, v, basis), budget - 1, memo)
+            for v in range(g.n) if g.rows[v] for basis in ("z", "y", "x"))
+    return memo[key]
+
+
+def _reference_persistency(g):
+    cover = min_vertex_cover(g).bit_count()
+    memo = {}
+    return next((d for d in range(cover) if _reference_can_disentangle(g, d, memo)), cover)
+
+
+def test_pruned_search_matches_reference_on_small_connected_graphs():
+    rng = random.Random(31)
+    for n in range(2, 7):
+        for g in enumerate_connected(n):
+            for _ in range(2):
+                h = relabel(g, rng.sample(range(n), n))
+                assert pauli_persistency(h) == _reference_persistency(h)
+
+
+def _twins(rows, u, v):
+    return not (rows[u] ^ rows[v]) & ~(1 << u | 1 << v)
+
+
+def test_search_branches_on_one_vertex_of_each_twin_set(monkeypatch):
+    rng = random.Random(32)
+    gaps = []
+    for n in range(4, 7):
+        for g in enumerate_connected(n):
+            g = relabel(g, rng.sample(range(n), n))
+            p = pauli_persistency(g)
+            if p > lower_bound_max_rank(g):
+                gaps.append((g, p))
+    measured = {}
+    real = entanglement.measure_via_lc
+
+    def recording(g, v, basis):
+        measured.setdefault(g.rows, set()).add(v)
+        return real(g, v, basis)
+
+    monkeypatch.setattr(entanglement, "measure_via_lc", recording)
+    for g, p in gaps:
+        # a search that fails expands every node it does not cut off
+        assert not entanglement._can_disentangle(g, p - 1, {})
+    pruned = 0
+    for rows, done in measured.items():
+        for w in range(len(rows)):
+            if rows[w] and w not in done:
+                assert any(_twins(rows, u, w) for u in done)
+                pruned += 1
+        assert not any(_twins(rows, u, v) for u in done for v in done if u < v)
+    assert pruned >= 20
+
+
+def _with_twin(g, v, adjacent):
+    """g plus a new last vertex with v's neighbours (and v itself if adjacent)."""
+    edges = g.edges() + [(w, g.n) for w in bits_of(g.rows[v])]
+    return from_edges(g.n + 1, edges + [(v, g.n)] * adjacent)
+
+
+def test_measuring_either_twin_gives_equivalent_graphs():
+    # the argument behind twin pruning: swapping twins u, v is an automorphism,
+    # so measuring v gives the image of measuring u; for x the default special
+    # neighbours may differ, which changes the result only by complementations
+    rng = random.Random(33)
+    checked = 0
+    for _ in range(40):
+        g = random_connected_graph(rng, rng.randrange(2, 8), 0.4)
+        g = _with_twin(g, rng.randrange(g.n), rng.random() < 0.5)
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if not g.rows[u] or not _twins(g.rows, u, v):
+                    continue
+                # child_u keeps v, child_v keeps u in v's place
+                keep_u = [w for w in range(g.n) if w != u]
+                perm = [(u if w == v else w) for w in keep_u]
+                perm = [w - (w > v) for w in perm]
+                for basis in ("z", "y", "x"):
+                    child_u = measure_via_lc(g, u, basis)
+                    image = relabel(measure_via_lc(g, v, basis), perm)
+                    if basis == "x":
+                        assert lc_equivalent(image, child_u)
+                    else:
+                        assert image == child_u
+                    checked += 1
+    assert checked > 100
+
+
+def test_bounds_match_the_frozen_benchmark_pool():
+    for entry in json.loads(BOUNDS_POOL.read_text()):
+        rep = bounds(parse_graph6(entry["graph6"]), search_cap=18)
+        assert (rep.lower, rep.upper, rep.cover_size) == (
+            entry["lower"], entry["upper"], entry["cover"]), entry["graph6"]
 
 
 def test_max_rank_criterion_on_six_ring():
