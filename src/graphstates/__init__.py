@@ -15,7 +15,6 @@ from .graphs import (
     delete_vertex,
     edges_between,
     empty_graph,
-    enumerate_connected,
     from_edges,
     grid_graph,
     induced_subgraph,

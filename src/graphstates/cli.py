@@ -110,7 +110,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    records = orbits.classify(args.n_max, jobs=args.jobs)
+    records = orbits.classify(args.n_max)
     if args.format == "json":
         _emit(orbits.records_to_json(records) + "\n", args.output)
     elif args.format == "dot":
@@ -261,7 +261,8 @@ def _build_parser() -> _Parser:
     c = sub.add_parser("classify", help="classify connected graphs up to n_max")
     c.add_argument("n_max", type=int)
     c.add_argument("--format", choices=("csv", "json", "dot"), default="csv")
-    c.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    c.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: classification runs in one process")
     c.add_argument("--output")
     c.set_defaults(func=_cmd_classify)
 
@@ -276,7 +277,8 @@ def _build_parser() -> _Parser:
 
     o = sub.add_parser("orbit", help="local-complementation orbit listing")
     o.add_argument("graph")
-    o.add_argument("--orbit-limit", type=int, default=orbits.ORBIT_LIMIT_DEFAULT)
+    o.add_argument("--orbit-limit", type=_int_at_least(1),
+                   default=orbits.ORBIT_LIMIT_DEFAULT)
     o.add_argument("--max-vertices", type=int, default=12)
     o.add_argument("--with-isomorphisms", action="store_true",
                    help="also close under vertex relabelings")

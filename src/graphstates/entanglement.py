@@ -131,15 +131,15 @@ def _can_disentangle(g: Graph, budget: int, memo: dict) -> bool:
         return True
     if budget <= 0:
         return False
+    rows = g.rows
+    key = (rows, budget)
+    hit = memo.get(key)  # the memo holds only nodes that passed both checks below
+    if hit is not None:
+        return hit
     if greedy_vertex_cover(g).bit_count() <= budget:
         return True
     if _components_with_edges(g) > budget:
         return False
-    rows = g.rows
-    key = (rows, budget)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
     result = False
     tried: list[int] = []
     for v in range(g.n):

@@ -17,13 +17,11 @@ persistency search build hundreds of thousands of such graphs.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 DEFAULT_CANONICAL_CAP = 10
-DEFAULT_ENUMERATION_CAP = 8
 RANDOM_GRAPH_DRAW_CAP = 10_000  # disconnected draws before random_connected_graph gives up
 
 
@@ -489,15 +487,6 @@ def is_vertex_cover(g: Graph, subset) -> bool:
 # ---------------------------------------------------------------------------
 # canonical forms and isomorphism
 
-def _tri_value(g: Graph) -> int:
-    """Upper-triangle bits read column by column, first bit most significant."""
-    val = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            val = (val << 1) | ((g.rows[i] >> j) & 1)
-    return val
-
-
 @lru_cache(maxsize=1 << 17)
 def _canonical_cached(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     # Depth-first search over vertex orders.  Column k of the candidate is the
@@ -559,50 +548,14 @@ def is_isomorphic(g: Graph, h: Graph, cap: int = DEFAULT_CANONICAL_CAP) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# enumeration of isomorphism classes
+# one-vertex extension
 
 def _add_vertex(h: Graph, neighbor_mask: int) -> Graph:
+    """h with a new last vertex adjacent to the vertices in neighbor_mask."""
     n = h.n + 1
     rows = [h.rows[i] | (((neighbor_mask >> i) & 1) << (n - 1)) for i in range(h.n)]
     rows.append(neighbor_mask)
     return _graph(n, tuple(rows))
-
-
-@lru_cache(maxsize=None)
-def _graph_classes(n: int) -> tuple[Graph, ...]:
-    """Canonical representatives of all isomorphism classes on n vertices."""
-    if n == 0:
-        return (Graph(0, ()),)
-    if n == 1:
-        return (Graph(1, (0,)),)
-    out: dict[tuple[int, ...], Graph] = {}
-    for parent in _graph_classes(n - 1):
-        for s in range(1 << (n - 1)):
-            canon, _ = canonical_form(_add_vertex(parent, s))
-            out[canon.rows] = canon
-    order = sorted(out.values(), key=lambda g: (g.edge_count, _tri_value(g)))
-    return tuple(order)
-
-
-def enumerate_connected(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Graph]:
-    """One canonical representative per isomorphism class of connected graphs."""
-    if n > cap:
-        raise CapExceeded(f"enumeration capped at n<={cap}, got n={n}")
-    for g in _graph_classes(n):
-        if is_connected(g):
-            yield g
-
-
-def connected_labeled_graph_count(n: int) -> int:
-    """Number of connected labeled graphs on n vertices (classical recurrence)."""
-    total = [1] + [2 ** math.comb(k, 2) for k in range(1, n + 1)]
-    conn = [0] * (n + 1)
-    for k in range(1, n + 1):
-        s = total[k]
-        for j in range(1, k):
-            s -= math.comb(k - 1, j - 1) * conn[j] * total[k - j]
-        conn[k] = s
-    return conn[n]
 
 
 # ---------------------------------------------------------------------------

@@ -14,31 +14,35 @@ basis vectors is one.  LC never moves a vertex to another component, so
 disconnected graphs are compared component by component.  The test returns a
 LocalClifford witness, checked against the stabilizer groups of both graphs.
 
-Quotienting by canonical forms turns orbit membership into an equivalence on
-isomorphism classes; the classifier computes that quotient for all connected
-graphs up to a vertex cap, together with the invariants of each class
-(Schmidt-rank extrema, rank indices, 2-colorability).
+The classifier lists the classes of connected graphs under local
+complementation plus isomorphism up to a vertex cap, level by level: every
+class on n vertices holds a one-vertex extension of a class representative
+on n - 1 vertices (see _lc_classes), and a walk over canonical forms of
+local complements from each new extension lists its members.  The cheap
+invariants (maximal Schmidt rank, rank indices, cover size,
+2-colorability) are computed per member; the persistency search, whose
+answer is LC-invariant, runs once per class on its representative.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .entanglement import _bounds_parts, _cross_rank, rank_index
+from .entanglement import _bounds_parts, _cross_rank, lower_bound_max_rank, rank_index
 from .gf2 import gf2_kernel_basis
 from .graphs import (
     CapExceeded,
     Graph,
+    _add_vertex,
     _graph,
     bits_of,
     canonical_form,
     connected_components,
-    enumerate_connected,
     induced_subgraph,
     local_complement,
+    min_vertex_cover,
     parse_graph6,
     to_graph6,
     two_coloring,
@@ -265,7 +269,11 @@ def lc_equivalent(g: Graph, h: Graph) -> bool:
 
 @dataclass(frozen=True)
 class MemberStats:
-    """Per-isomorphism-class data feeding a ClassRecord."""
+    """Per-isomorphism-class data feeding a ClassRecord.
+
+    upper is the Pauli persistency of the member's LC class, found by one
+    search on the class representative; persistency is LC-invariant.
+    """
 
     graph6: str
     n: int
@@ -294,14 +302,53 @@ class ClassRecord:
     has_two_colorable_member: bool
 
 
-def _member_stats(g: Graph, search_cap: int) -> MemberStats:
-    lower, upper, cover = _bounds_parts(g, search_cap, None)
+def _lc_classes(n_max: int) -> list[list[Graph]]:
+    """The classes of connected graphs with 2 <= n <= n_max under local
+    complementation plus isomorphism, each as a list of canonical forms.
+
+    The classes on n vertices are built from those on n - 1.  A connected G
+    has a non-cut vertex v, and complementing at any w != v commutes with
+    deleting v, so the LC steps that take G - v to the representative of its
+    class take G to a member of its own class that extends that
+    representative by one vertex.  Extending every representative by every
+    nonempty neighbourhood therefore meets every class; a walk over the
+    canonical forms of local complements from each unseen candidate lists
+    its class.  A class's first member represents it at the next level.
+    """
+    classes: list[list[Graph]] = []
+    reps = [Graph(1, (0,))]
+    for n in range(2, n_max + 1):
+        seen: set[Graph] = set()
+        level = []
+        for rep in reps:
+            for s in range(1, 1 << (n - 1)):
+                start = canonical_form(_add_vertex(rep, s))[0]
+                if start in seen:
+                    continue
+                seen.add(start)
+                members = [start]
+                for g in members:
+                    for a in range(n):
+                        image = canonical_form(local_complement(g, a))[0]
+                        if image not in seen:
+                            seen.add(image)
+                            members.append(image)
+                level.append(members)
+        classes.extend(level)
+        reps = [members[0] for members in level]
+    return classes
+
+
+def _member_stats(g: Graph) -> MemberStats:
+    """The per-member values; upper is the cover size until the class's
+    persistency replaces it."""
+    cover = min_vertex_cover(g).bit_count()
     return MemberStats(
         graph6=to_graph6(g),
         n=g.n,
         edges=g.edge_count,
-        lower=lower,
-        upper=upper,
+        lower=lower_bound_max_rank(g),
+        upper=cover,
         cover=cover,
         two_colorable=two_coloring(g) is not None,
         ri_2=rank_index(g, 2).counts if g.n >= 4 else None,
@@ -309,12 +356,7 @@ def _member_stats(g: Graph, search_cap: int) -> MemberStats:
     )
 
 
-def _stats_worker(args: tuple[Graph, int]) -> MemberStats:
-    return _member_stats(*args)
-
-
-def classify_full(n_max: int, jobs: int = 1
-                  ) -> tuple[list[ClassRecord], dict[str, MemberStats]]:
+def classify_full(n_max: int) -> tuple[list[ClassRecord], dict[str, MemberStats]]:
     """Classify all connected graphs with 2 <= n <= n_max.
 
     Returns the sorted class records and the per-member statistics keyed by
@@ -326,47 +368,11 @@ def classify_full(n_max: int, jobs: int = 1
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     search_cap = max(7, n_max)
-    reps: list[Graph] = []
-    for n in range(2, n_max + 1):
-        reps.extend(enumerate_connected(n))
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            computed = list(pool.map(_stats_worker,
-                                     ((g, search_cap) for g in reps),
-                                     chunksize=32))
-        stats = dict(zip(reps, computed))
-    else:
-        stats = {g: _member_stats(g, search_cap) for g in reps}
-
-    rep_set = set(reps)
-    parent: dict[Graph, Graph] = {g: g for g in reps}
-
-    def find(x: Graph) -> Graph:
-        while parent[x] is not x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: Graph, y: Graph) -> None:
-        rx, ry = find(x), find(y)
-        if rx is not ry:
-            parent[rx] = ry
-
-    for g in reps:
-        for a in range(g.n):
-            image = canonical_form(local_complement(g, a))[0]
-            if image not in rep_set:
-                raise AssertionError("complementation left the enumerated classes")
-            union(g, image)
-
-    groups: dict[Graph, list[Graph]] = {}
-    for g in reps:
-        groups.setdefault(find(g), []).append(g)
-
+    member_map: dict[str, MemberStats] = {}
     raw = []
-    for members in groups.values():
-        ms = sorted((stats[m] for m in members), key=lambda s: (s.edges, s.graph6))
+    for members in _lc_classes(n_max):
+        members.sort(key=lambda g: (g.edge_count, to_graph6(g)))
+        ms = [_member_stats(g) for g in members]
         lowers = {s.lower for s in ms}
         if len(lowers) != 1:
             raise AssertionError("lower bound must be constant on a class")
@@ -375,11 +381,13 @@ def classify_full(n_max: int, jobs: int = 1
             if len(vals) != 1:
                 raise AssertionError(f"{field} must be constant on a class")
         rep = ms[0]
+        upper = _bounds_parts(members[0], search_cap, None)[1]
+        member_map.update((s.graph6, replace(s, upper=upper)) for s in ms)
         raw.append((
             rep.n,
             rep.edges,
             rep.lower,
-            min(s.upper for s in ms),
+            upper,
             rep.ri_3 or (),
             rep.ri_2 or (),
             rep.graph6,
@@ -404,12 +412,11 @@ def classify_full(n_max: int, jobs: int = 1
             ri_2=ri2,
             has_two_colorable_member=twocol,
         ))
-    member_map = {s.graph6: s for s in stats.values()}
     return records, member_map
 
 
-def classify(n_max: int, jobs: int = 1) -> list[ClassRecord]:
-    return classify_full(n_max, jobs)[0]
+def classify(n_max: int) -> list[ClassRecord]:
+    return classify_full(n_max)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import settings
 
 from graphstates import orbits
-from graphstates.graphs import enumerate_connected
+from graphstates.graphs import Graph, _add_vertex, canonical_form, is_connected, to_graph6
 
 # One profile for every property test: the same examples on every run, no
 # per-example deadline on a shared host, and a bounded example count.
@@ -10,10 +10,32 @@ settings.register_profile("tier1", derandomize=True, deadline=None, max_examples
 settings.load_profile("tier1")
 
 
+def _connected_classes(n_max):
+    """Canonical representatives of the connected isomorphism classes on
+    2..n_max vertices, by n, each sorted by (edges, graph6).
+
+    Brute force: every graph on n vertices, connected or not, extends one on
+    n - 1 by a vertex, so extending all isomorphism classes by all
+    neighbourhoods and keeping one graph per canonical form lists them all.
+    """
+    level = [Graph(1, (0,))]
+    out = {}
+    for n in range(2, n_max + 1):
+        found = {}
+        for parent in level:
+            for s in range(1 << (n - 1)):
+                canon = canonical_form(_add_vertex(parent, s))[0]
+                found[canon.rows] = canon
+        level = list(found.values())
+        out[n] = tuple(sorted((g for g in level if is_connected(g)),
+                              key=lambda g: (g.edge_count, to_graph6(g))))
+    return out
+
+
 @pytest.fixture(scope="session")
 def connected_classes():
     """Canonical representatives of all connected isomorphism classes, n = 2..7."""
-    return {n: tuple(enumerate_connected(n)) for n in range(2, 8)}
+    return _connected_classes(7)
 
 
 @pytest.fixture(scope="session")

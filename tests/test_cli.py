@@ -59,6 +59,8 @@ def test_usage_error_exits_one(capsys):
     (["verify", "--max-vertices", "1"], "argument --max-vertices: must be at least 2, got 1"),
     (["bounds", "A_", "--depth-limit", "-3"], "argument --depth-limit: must be at least 0, got -3"),
     (["bounds", "A_", "--depth-limit", "x"], "argument --depth-limit: invalid int value: 'x'"),
+    (["orbit", "A_", "--orbit-limit", "0"], "argument --orbit-limit: must be at least 1, got 0"),
+    (["orbit", "A_", "--orbit-limit", "-1"], "argument --orbit-limit: must be at least 1, got -1"),
 ])
 def test_out_of_range_integers_are_usage_errors(capsys, argv, message):
     assert main(argv) == 1
@@ -72,6 +74,8 @@ def test_smallest_accepted_integers(capsys):
     assert "upper=3" in capsys.readouterr().out  # the cover stands in
     assert main(["verify", "--trials", "1", "--max-vertices", "2"]) == 0
     assert "all checks passed over 1 trials" in capsys.readouterr().out
+    assert main(["orbit", "A_", "--orbit-limit", "1"]) == 0
+    assert capsys.readouterr().out == "A_\n"  # K2 complements nothing
 
 
 def test_cap_exceeded_exits_two(capsys):

@@ -24,7 +24,6 @@ from graphstates.graphs import (
     connected_components,
     cycle_graph,
     delete_vertex,
-    enumerate_connected,
     from_edges,
     greedy_vertex_cover,
     grid_graph,
@@ -178,10 +177,10 @@ def _reference_persistency(g):
     return next((d for d in range(cover) if _reference_can_disentangle(g, d, memo)), cover)
 
 
-def test_pruned_search_matches_reference_on_small_connected_graphs():
+def test_pruned_search_matches_reference_on_small_connected_graphs(connected_classes):
     rng = random.Random(31)
     for n in range(2, 7):
-        for g in enumerate_connected(n):
+        for g in connected_classes[n]:
             for _ in range(2):
                 h = relabel(g, rng.sample(range(n), n))
                 assert pauli_persistency(h) == _reference_persistency(h)
@@ -191,11 +190,11 @@ def _twins(rows, u, v):
     return not (rows[u] ^ rows[v]) & ~(1 << u | 1 << v)
 
 
-def test_search_branches_on_one_vertex_of_each_twin_set(monkeypatch):
+def test_search_branches_on_one_vertex_of_each_twin_set(monkeypatch, connected_classes):
     rng = random.Random(32)
     gaps = []
     for n in range(4, 7):
-        for g in enumerate_connected(n):
+        for g in connected_classes[n]:
             g = relabel(g, rng.sample(range(n), n))
             p = pauli_persistency(g)
             if p > lower_bound_max_rank(g):

@@ -17,12 +17,10 @@ from graphstates.graphs import (
     bits_of,
     canonical_form,
     complete_graph,
-    connected_labeled_graph_count,
     cycle_graph,
     delete_vertex,
     edges_between,
     empty_graph,
-    enumerate_connected,
     from_edges,
     greedy_vertex_cover,
     grid_graph,
@@ -271,10 +269,10 @@ def _brute_connected_classes(n):
     return reps
 
 
-def test_enumeration_counts_small_against_brute_force():
+def test_enumeration_counts_small_against_brute_force(connected_classes):
     for n, expected in ((2, 1), (3, 2), (4, 6), (5, 21)):
         assert len(_brute_connected_classes(n)) == expected
-        assert sum(1 for _ in enumerate_connected(n)) == expected
+        assert len(connected_classes[n]) == expected
 
 
 def test_enumeration_counts_six_and_seven(connected_classes):
@@ -293,17 +291,24 @@ def test_enumeration_has_no_duplicates_and_is_connected(connected_classes):
             seen.add(g.rows)
 
 
+def _connected_labeled_graph_count(n):
+    """Number of connected labeled graphs on n vertices (classical recurrence)."""
+    total = [1] + [2 ** math.comb(k, 2) for k in range(1, n + 1)]
+    conn = [0] * (n + 1)
+    for k in range(1, n + 1):
+        s = total[k]
+        for j in range(1, k):
+            s -= math.comb(k - 1, j - 1) * conn[j] * total[k - j]
+        conn[k] = s
+    return conn[n]
+
+
 def test_enumeration_completeness_by_labeled_count(connected_classes):
     # sum over classes of n!/|Aut| must equal the labeled connected count
     for n in (5, 6, 7):
         total = sum(math.factorial(n) // _brute_canonical(g)[1]
                     for g in connected_classes[n])
-        assert total == connected_labeled_graph_count(n)
-
-
-def test_enumeration_cap():
-    with pytest.raises(CapExceeded):
-        list(enumerate_connected(9))
+        assert total == _connected_labeled_graph_count(n)
 
 
 def test_graph6_known_strings():

@@ -3,12 +3,14 @@
 import itertools
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from graphstates import orbits
+from graphstates.entanglement import pauli_persistency
 from graphstates.graphs import (
     CapExceeded,
     canonical_form,
@@ -290,8 +292,36 @@ def test_records_render_csv_json_dot():
     assert "cluster_1" in dot and "--" in dot
 
 
-def test_classify_is_stable_under_worker_count():
-    assert orbits.classify(5, jobs=2) == orbits.classify(5, jobs=1)
+def test_classes_cover_every_connected_graph(classification7, connected_classes):
+    _, members = classification7
+    for n, classes in connected_classes.items():
+        assert {s.graph6 for s in members.values() if s.n == n} == \
+            {to_graph6(g) for g in classes}
+
+
+def test_class_counts_match_a090899(classification7):
+    # connected graphs under LC plus isomorphism, n = 2..7 (OEIS A090899)
+    records, _ = classification7
+    assert Counter(r.n_vertices for r in records) == {2: 1, 3: 1, 4: 2, 5: 4, 6: 11, 7: 26}
+
+
+def test_classes_are_closed_under_local_complementation():
+    classes = orbits._lc_classes(7)
+    class_of = {g: i for i, members in enumerate(classes) for g in members}
+    assert len(class_of) == sum(len(members) for members in classes) == 995
+    for g, i in class_of.items():
+        for a in range(g.n):
+            assert class_of[canonical_form(local_complement(g, a))[0]] == i
+
+
+def test_class_upper_is_every_members_persistency(classification7):
+    records, members = classification7
+    upper_of = {r.representative: r.upper for r in records}
+    for cls in orbits._lc_classes(6):
+        rep = min(cls, key=lambda g: (g.edge_count, to_graph6(g)))
+        for g in cls:
+            assert pauli_persistency(g) == members[to_graph6(g)].upper == \
+                upper_of[to_graph6(rep)]
 
 
 def test_member_stats_cover_all_classes(classification7):
