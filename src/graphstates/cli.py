@@ -194,16 +194,17 @@ def _verify_suite(seed: int, max_n: int, trials: int) -> list[str]:
 
         a = rng.randrange(n)
         for basis in ("x", "y", "z"):
+            # Both outcomes share the rewritten graph; only the byproduct differs.
+            out = measurement.measure_pauli(g, a, basis)
+            after = oracle.graph_state(out.graph_after)
             for sign in (1, -1):
                 prob, post = oracle.apply_projector(state, a, basis, sign)
-                out = measurement.measure_pauli(g, a, basis)
                 check(f"{tag}: probability {basis}{a}",
                       abs(prob - float(out.prob_plus if sign > 0 else 1 - out.prob_plus)) < 1e-12)
                 if post is None:
                     continue
                 byp = out.byproduct_plus if sign > 0 else out.byproduct_minus
-                ref = oracle.graph_state(out.graph_after)
-                ref = oracle.apply_local_clifford(ref, byp)
+                ref = oracle.apply_local_clifford(after, byp)
                 ref = oracle.insert_qubit(ref, a, oracle.basis_eigenvector(basis, sign))
                 check(f"{tag}: projection rule {basis}{a}",
                       oracle.equal_up_to_global_phase(post, ref))
@@ -228,6 +229,9 @@ def _verify_suite(seed: int, max_n: int, trials: int) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_vertices > oracle.STATE_CAP:
+        raise CapExceeded(f"verify builds dense states, capped at "
+                          f"n<={oracle.STATE_CAP}, got --max-vertices {args.max_vertices}")
     failures = _verify_suite(args.seed, args.max_vertices, args.trials)
     total = args.trials
     if failures:

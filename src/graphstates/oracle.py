@@ -3,6 +3,12 @@
 Verifies every graph rule against actual quantum states at small sizes.
 Amplitude indexing: vertex 0 is the most significant bit, so axis v of the
 state reshaped to (2,)*n is qubit v.
+
+graph_state computes the definition of the graph state, the controlled-Z
+circuit on the uniform superposition: the amplitude of basis state x is
+(-1)^(number of edges with both ends in x) / 2^(n/2).  It reads only the
+adjacency rows and uses no graph rule (measurement, local complementation,
+stabilizer), so the checks built on it stay independent of those rules.
 """
 
 from __future__ import annotations
@@ -32,39 +38,59 @@ _BASIS_VECTORS = {
 }
 
 
+_PROJECTORS = {
+    (basis, sign): (np.eye(2, dtype=complex) + sign * PAULI_MATRICES[axis]) / 2
+    for axis, basis in enumerate("xyz") for sign in (1, -1)
+}
+
+_PARITY_SIGN = np.array([1.0, -1.0])
+
+
 def basis_eigenvector(basis: str, sign: int) -> np.ndarray:
     return _BASIS_VECTORS[(basis, sign)].copy()
 
 
 def _n_qubits(state: np.ndarray) -> int:
-    n = int(np.log2(len(state)) + 0.5)
-    if len(state) != 1 << n:
-        raise ValueError("state length is not a power of two")
-    return n
+    dim = len(state)
+    if dim == 0 or dim & (dim - 1):
+        raise ValueError(f"state length {dim} is not a power of two")
+    return dim.bit_length() - 1
+
+
+def _index_bits(mask: int, n: int) -> int:
+    """Vertex mask -> amplitude-index mask (vertex v is index bit n-1-v)."""
+    return int(format(mask, f"0{n}b")[::-1], 2)
 
 
 def graph_state(g: Graph, cap: int = STATE_CAP) -> np.ndarray:
-    """Controlled-Z circuit applied to the uniform superposition."""
+    """Controlled-Z circuit applied to the uniform superposition.
+
+    Built one vertex at a time, from the last to vertex 0: vertex v becomes
+    the new high bit, and its "1" half is the vector so far times
+    (-1)^(number of later neighbours of v set in the index)."""
     if g.n > cap:
         raise CapExceeded(f"dense states capped at n<={cap}, got n={g.n}")
     n = g.n
-    dim = 1 << n
-    vec = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
-    idx = np.arange(dim)
-    for a, b in g.edges():
-        mask = (1 << (n - 1 - a)) | (1 << (n - 1 - b))
-        vec[(idx & mask) == mask] *= -1.0
-    return vec
+    vec = np.full(1, 1.0 / np.sqrt(1 << n))
+    idx = np.arange(1 << max(n - 1, 0))
+    for v in range(n - 1, -1, -1):
+        later = _index_bits(g.rows[v] >> (v + 1) << (v + 1), n)
+        odd = np.bitwise_count(idx[:len(vec)] & later) & 1
+        vec = np.concatenate((vec, vec * _PARITY_SIGN[odd]))
+    return vec.astype(complex)
 
 
 def apply_single_site(state: np.ndarray, site: int, m: np.ndarray) -> np.ndarray:
     n = _n_qubits(state)
     if not 0 <= site < n:
         raise IndexError(site)
-    d_l = 1 << site
-    d_r = 1 << (n - 1 - site)
-    t = state.reshape(d_l, 2, d_r)
-    return np.einsum("ij,ajb->aib", m, t).reshape(-1)
+    t = state.reshape(1 << site, 2, 1 << (n - 1 - site))
+    t0 = t[:, 0, :]
+    t1 = t[:, 1, :]
+    out = np.empty(t.shape, dtype=np.result_type(m, state))
+    out[:, 0, :] = m[0, 0] * t0 + m[0, 1] * t1
+    out[:, 1, :] = m[1, 0] * t0 + m[1, 1] * t1
+    return out.reshape(-1)
 
 
 def apply_projector(state: np.ndarray, site: int, basis: str, sign: int
@@ -75,9 +101,7 @@ def apply_projector(state: np.ndarray, site: int, basis: str, sign: int
         raise ValueError(f"bad basis {basis!r}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    axis = "xyz".index(basis)
-    proj = (np.eye(2, dtype=complex) + sign * PAULI_MATRICES[axis]) / 2
-    out = apply_single_site(state, site, proj)
+    out = apply_single_site(state, site, _PROJECTORS[basis, sign])
     prob = float(np.vdot(out, out).real)
     if prob < 1e-12:
         return 0.0, None
@@ -99,12 +123,8 @@ def apply_pauli(state: np.ndarray, p: PauliOp) -> np.ndarray:
     n = _n_qubits(state)
     if p.n != n:
         raise ValueError("size mismatch")
-    xi = zi = 0
-    for s in range(n):
-        if (p.x >> s) & 1:
-            xi |= 1 << (n - 1 - s)
-        if (p.z >> s) & 1:
-            zi |= 1 << (n - 1 - s)
+    xi = _index_bits(p.x, n)
+    zi = _index_bits(p.z, n)
     idx = np.arange(len(state))
     src = idx ^ xi
     signs = 1.0 - 2.0 * (np.bitwise_count(src & zi) & 1)
@@ -112,8 +132,8 @@ def apply_pauli(state: np.ndarray, p: PauliOp) -> np.ndarray:
 
 
 def equal_up_to_global_phase(s: np.ndarray, t: np.ndarray, tol: float = PHASE_TOL) -> bool:
-    ns = np.linalg.norm(s)
-    nt = np.linalg.norm(t)
+    ns = np.sqrt(np.vdot(s, s).real)
+    nt = np.sqrt(np.vdot(t, t).real)
     if ns < 1e-12 or nt < 1e-12:
         return False
     return abs(np.vdot(s, t)) / (ns * nt) >= 1.0 - tol
@@ -124,10 +144,8 @@ def insert_qubit(state: np.ndarray, site: int, vec2: np.ndarray) -> np.ndarray:
     n = _n_qubits(state) + 1
     if not 0 <= site < n:
         raise IndexError(site)
-    d_l = 1 << site
-    d_r = 1 << (n - 1 - site)
-    t = state.reshape(d_l, d_r)
-    return np.einsum("k,ab->akb", np.asarray(vec2, dtype=complex), t).reshape(-1)
+    t = state.reshape(1 << site, 1, 1 << (n - 1 - site))
+    return (t * np.asarray(vec2, dtype=complex).reshape(1, 2, 1)).reshape(-1)
 
 
 def reduced_density(state: np.ndarray, traced) -> np.ndarray:

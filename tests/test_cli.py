@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -160,3 +161,58 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "lower=1" in proc.stdout
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_above_dense_cap_exits_two_whatever_the_seed(capsys, seed):
+    assert main(["verify", "--seed", str(seed), "--max-vertices", "13",
+                 "--trials", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-vertices 13" in captured.err
+
+
+def test_verify_at_dense_cap_is_accepted(capsys):
+    assert main(["verify", "--seed", "0", "--max-vertices", "12",
+                 "--trials", "2"]) == 0
+    assert "all checks passed over 2 trials" in capsys.readouterr().out
+
+
+def test_verify_measures_each_basis_once_per_trial(capsys, monkeypatch):
+    calls = []
+    original = measurement.measure_pauli
+
+    def recording(g, a, basis):
+        calls.append(basis)
+        return original(g, a, basis)
+
+    monkeypatch.setattr(measurement, "measure_pauli", recording)
+    assert main(["verify", "--seed", "5", "--max-vertices", "7",
+                 "--trials", "4"]) == 0
+    assert calls == ["x", "y", "z"] * 4
+
+
+def _verify_with_mutated_byproducts(monkeypatch, mutate):
+    original = measurement.measure_pauli
+    monkeypatch.setattr(measurement, "measure_pauli",
+                        lambda g, a, basis: mutate(original(g, a, basis)))
+    return main(["verify", "--seed", "3", "--max-vertices", "6", "--trials", "3"])
+
+
+def test_verify_catches_swapped_byproducts(capsys, monkeypatch):
+    def swap(out):
+        return dataclasses.replace(out, byproduct_plus=out.byproduct_minus,
+                                   byproduct_minus=out.byproduct_plus)
+
+    assert _verify_with_mutated_byproducts(monkeypatch, swap) == 3
+    assert "projection rule" in capsys.readouterr().out
+
+
+def test_verify_checks_the_minus_byproduct(capsys, monkeypatch):
+    # The plus outcome stays right, so any failure comes from the minus check.
+    def corrupt_minus(out):
+        return dataclasses.replace(out, byproduct_minus=out.byproduct_plus)
+
+    assert _verify_with_mutated_byproducts(monkeypatch, corrupt_minus) == 3
+    out = capsys.readouterr().out
+    assert "projection rule" in out and "probability" not in out

@@ -1,6 +1,8 @@
 """Dense state-vector reference: construction, projectors, reductions."""
 
 import random
+import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,8 +17,11 @@ from graphstates.graphs import (
     path_graph,
     random_connected_graph,
     star_graph,
+    to_graph6,
 )
 from graphstates.stabilizer import (
+    CLIFFORD_MATRICES,
+    PAULI_MATRICES,
     local_complement_clifford,
     identity_clifford,
     stabilizer_generator,
@@ -123,3 +128,76 @@ def test_partial_trace_form():
         g = random_connected_graph(rng, rng.randrange(2, 8))
         subset = rng.randrange(0, 1 << g.n)
         assert oracle.verify_partial_trace_form(g, subset)
+
+
+def _cz_reference(g):
+    """The graph state by definition: one controlled-Z per edge applied to
+    the uniform superposition, each as a sign flip on the indices that hold
+    both ends."""
+    dim = 1 << g.n
+    vec = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
+    idx = np.arange(dim)
+    for a, b in g.edges():
+        mask = (1 << (g.n - 1 - a)) | (1 << (g.n - 1 - b))
+        vec[(idx & mask) == mask] *= -1.0
+    return vec
+
+
+def test_graph_state_equals_cz_reference_on_all_labelled_graphs_up_to_5():
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = from_edges(n, [p for i, p in enumerate(pairs) if (bits >> i) & 1])
+            assert np.array_equal(oracle.graph_state(g), _cz_reference(g)), g.edges()
+
+
+def test_graph_state_equals_cz_reference_on_empty_and_random_graphs():
+    for n in range(3):
+        assert np.array_equal(oracle.graph_state(empty_graph(n)),
+                              _cz_reference(empty_graph(n)))
+    rng = random.Random(34)
+    for _ in range(60):
+        g = random_connected_graph(rng, rng.randrange(2, oracle.STATE_CAP + 1))
+        assert np.array_equal(oracle.graph_state(g), _cz_reference(g)), to_graph6(g)
+
+
+# (I + sign * P) / 2 for the Pauli P of each basis.
+_PROJECTORS = {(basis, sign): (np.eye(2) + sign * PAULI_MATRICES[axis]) / 2
+               for axis, basis in zip(PAULI_MATRICES, "xyz") for sign in (1, -1)}
+
+
+def _kron_at(n, site, m):
+    return np.kron(np.kron(np.eye(1 << site), m), np.eye(1 << (n - 1 - site)))
+
+
+def test_apply_single_site_matches_kron_product():
+    assert len(CLIFFORD_MATRICES) == 24 and len(_PROJECTORS) == 6
+    rng = np.random.default_rng(35)
+    for n in range(1, 7):
+        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        for m in list(CLIFFORD_MATRICES) + list(_PROJECTORS.values()):
+            for site in range(n):
+                assert np.allclose(oracle.apply_single_site(state, site, m),
+                                   _kron_at(n, site, m) @ state, atol=1e-12)
+
+
+def test_apply_projector_uses_the_basis_projector():
+    state = oracle.graph_state(path_graph(4))
+    for (basis, sign), proj in _PROJECTORS.items():
+        out = oracle.apply_single_site(state, 2, proj)
+        prob, post = oracle.apply_projector(state, 2, basis, sign)
+        assert abs(prob - np.vdot(out, out).real) < 1e-12
+        assert np.allclose(post, out / np.sqrt(prob))
+
+
+@pytest.mark.parametrize("length", [0, 3, 6])
+def test_state_length_not_a_power_of_two_is_a_value_error(length):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not a power of two"):
+            oracle._n_qubits(np.zeros(length, dtype=complex))
+
+
+@pytest.mark.parametrize("length, n", [(1, 0), (4096, 12)])
+def test_state_length_power_of_two_is_accepted(length, n):
+    assert oracle._n_qubits(np.zeros(length, dtype=complex)) == n
