@@ -69,8 +69,6 @@ from .orbits import (
     lc_equivalence_witness,
     lc_equivalent,
     lc_orbit,
-    rank_list_fingerprint,
-    schmidt_rank_list,
 )
 from .oracle import (
     apply_local_clifford,
@@ -80,6 +78,7 @@ from .oracle import (
     graph_state,
     reduced_entropy,
     reduced_rank,
+    reduced_rank_and_entropy,
     verify_partial_trace_form,
 )
 

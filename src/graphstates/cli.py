@@ -211,10 +211,9 @@ def _verify_suite(seed: int, max_n: int, trials: int) -> list[str]:
 
         a_mask = rng.randrange(1, (1 << n) - 1)
         r = entanglement.schmidt_rank(g, a_mask)
-        traced = [v for v in range(n) if (a_mask >> v) & 1]
-        check(f"{tag}: reduced rank", oracle.reduced_rank(state, traced) == 1 << r)
-        check(f"{tag}: reduced entropy",
-              abs(oracle.reduced_entropy(state, traced) - r) < 1e-6)
+        rank, entropy = oracle.reduced_rank_and_entropy(state, a_mask)
+        check(f"{tag}: reduced rank", rank == 1 << r)
+        check(f"{tag}: reduced entropy", abs(entropy - r) < 1e-6)
 
         v = rng.randrange(n)
         flipped = oracle.apply_local_clifford(state, local_complement_clifford(g, v))
@@ -224,7 +223,7 @@ def _verify_suite(seed: int, max_n: int, trials: int) -> list[str]:
 
         if n <= 8:
             check(f"{tag}: partial trace form",
-                  oracle.verify_partial_trace_form(g, a_mask))
+                  oracle.verify_partial_trace_form(g, a_mask, state=state))
     return failures
 
 

@@ -8,6 +8,12 @@ over the graph rewrite rules) upper bounds it, and is itself at most the
 minimum vertex cover size.  All ranks are base-2 logarithms, i.e. plain
 GF(2) ranks.
 
+Every scan over bipartitions walks unordered splits by the size k of the
+smaller side (_splits).  The maximum is scanned from k = floor(n/2) down:
+a split with smaller side k has rank at most k, so a class stops as soon as
+one split reaches k, and the scan stops at the first k that is no more than
+the best rank found, since no smaller class can beat it.
+
 The search branches on one vertex of each set of twins (vertices whose
 neighbourhoods agree outside the pair).  Swapping twins is an automorphism,
 so measuring either twin in the same basis gives isomorphic graphs; for x the
@@ -20,7 +26,6 @@ SEARCH_NODE_CAP nodes: every benchmark and classification input stays below
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .gf2 import gf2_rank_of_rows
@@ -70,8 +75,31 @@ def _check_bipartition(g: Graph, a_mask: int) -> None:
 
 def _cross_rank(g: Graph, a_mask: int) -> int:
     b_mask = g.vertex_mask() & ~a_mask
-    rows = [g.rows[v] & b_mask for v in bits_of(a_mask)]
-    return gf2_rank_of_rows(rows, g.n)
+    rows = g.rows
+    cross = []
+    while a_mask:
+        low = a_mask & -a_mask
+        cross.append(rows[low.bit_length() - 1] & b_mask)
+        a_mask ^= low
+    return gf2_rank_of_rows(cross, g.n)
+
+
+def _splits(n: int, k: int):
+    """Smaller side A of every unordered split of n vertices with |A| = k,
+    for 1 <= k <= n/2, as masks in increasing numeric order.  When 2k = n,
+    vertex 0 stays on side A so that each split is listed once."""
+    fixed = 0
+    if 2 * k == n:  # vertex 0 on side A: choose the other k - 1 from 1..n-1
+        n, k, fixed = n - 1, k - 1, 1
+    if k == 0:
+        yield fixed
+        return
+    m = (1 << k) - 1
+    while m >> n == 0:  # Gosper's hack: the next larger mask with k bits
+        yield m << fixed | fixed
+        lsb = m & -m
+        ripple = m + lsb
+        m = ripple | ((m ^ ripple) >> 2) // lsb
 
 
 def schmidt_rank(g: Graph, subset) -> int:
@@ -90,14 +118,8 @@ def rank_index(g: Graph, k: int) -> RankIndex:
     if not is_connected(g):
         raise ValueError("rank_index expects a connected graph")
     counts = [0] * k
-    for combo in itertools.combinations(range(g.n), k):
-        if 2 * k == g.n and combo[0] != 0:
-            continue  # halves pair up; count each unordered split once
-        a_mask = 0
-        for v in combo:
-            a_mask |= 1 << v
-        r = _cross_rank(g, a_mask)
-        counts[k - r] += 1
+    for a_mask in _splits(g.n, k):
+        counts[k - _cross_rank(g, a_mask)] += 1
     return RankIndex(k, tuple(counts))
 
 
@@ -105,19 +127,16 @@ def lower_bound_max_rank(g: Graph, cap: int = DEFAULT_SCAN_CAP) -> int:
     """Maximum Schmidt rank over all bipartitions."""
     if g.n > cap:
         raise CapExceeded(f"bipartition scan capped at n<={cap}, got n={g.n}")
-    if g.n < 2:
-        return 0
     best = 0
-    ceiling = g.n // 2
-    for m in range(1 << (g.n - 1)):
-        a_mask = (m << 1) | 1
-        if a_mask == g.vertex_mask():
-            continue
-        r = _cross_rank(g, a_mask)
-        if r > best:
-            best = r
-            if best == ceiling:
-                break
+    for k in range(g.n // 2, 0, -1):
+        if k <= best:
+            break  # no split with smaller side k can beat best
+        for a_mask in _splits(g.n, k):
+            r = _cross_rank(g, a_mask)
+            if r > best:
+                best = r
+                if best == k:
+                    break
     return best
 
 

@@ -9,26 +9,22 @@ from __future__ import annotations
 
 
 def gf2_rank_of_rows(rows, n_cols: int) -> int:
-    """Rank of raw int rows over GF(2); forward elimination on a copy."""
-    work = [r for r in rows if r]
+    """Rank of raw int rows over GF(2); every row must lie below 2**n_cols.
+
+    An XOR basis indexed by leading bit: each row is reduced by the basis row
+    with its current leading bit until it vanishes or takes a free one.
+    """
+    basis = [0] * (n_cols + 1)  # basis[t]: the basis row whose bit_length is t
     rank = 0
-    n = len(work)
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n):
-            if (work[r] >> col) & 1:
-                pivot = r
+    for r in rows:
+        while r:
+            top = r.bit_length()
+            b = basis[top]
+            if not b:
+                basis[top] = r
+                rank += 1
                 break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        piv = work[rank]
-        for r in range(rank + 1, n):
-            if (work[r] >> col) & 1:
-                work[r] ^= piv
-        rank += 1
-        if rank == n:
-            break
+            r ^= b
     return rank
 
 

@@ -173,35 +173,41 @@ def _small_side_spectrum(state: np.ndarray, traced_mask: int) -> np.ndarray:
     return np.linalg.eigvalsh(rho_small)
 
 
-def reduced_rank(state: np.ndarray, traced, tol: float = RANK_TOL) -> int:
-    """Rank of the density operator left after tracing out the given qubits."""
-    n = _n_qubits(state)
+def reduced_rank_and_entropy(state: np.ndarray, traced, tol: float = RANK_TOL
+                             ) -> tuple[int, float]:
+    """Rank, and entropy in bits, of the density operator left after tracing
+    out the given qubits, both from one diagonalization."""
+    _n_qubits(state)
     mask = traced if isinstance(traced, int) else sum(1 << v for v in traced)
     if mask == 0:
-        return 1 if np.linalg.norm(state) > tol else 0
+        return (1 if np.linalg.norm(state) > tol else 0), 0.0
     evals = _small_side_spectrum(state, mask)
-    return int((evals > tol).sum())
+    nonzero = evals[evals > 1e-14]
+    return int((evals > tol).sum()), float(-(nonzero * np.log2(nonzero)).sum())
+
+
+def reduced_rank(state: np.ndarray, traced, tol: float = RANK_TOL) -> int:
+    """Rank of the density operator left after tracing out the given qubits."""
+    return reduced_rank_and_entropy(state, traced, tol)[0]
 
 
 def reduced_entropy(state: np.ndarray, traced) -> float:
     """Entropy in bits of the state reduced over the given qubits."""
-    n = _n_qubits(state)
-    mask = traced if isinstance(traced, int) else sum(1 << v for v in traced)
-    if mask == 0:
-        return 0.0
-    evals = _small_side_spectrum(state, mask)
-    evals = evals[evals > 1e-14]
-    return float(-(evals * np.log2(evals)).sum())
+    return reduced_rank_and_entropy(state, traced)[1]
 
 
 def verify_partial_trace_form(g: Graph, traced, tol: float = RANK_TOL,
-                              cap: int = 10) -> bool:
+                              cap: int = 10, state: np.ndarray | None = None) -> bool:
     """Check that tracing out a vertex set equals the uniform mixture of
-    locally rotated graph states of the reduced graph."""
+    locally rotated graph states of the reduced graph.
+
+    state, when given, must be graph_state(g); the mixture is always built
+    from the reduced graph's own state."""
     if g.n > cap:
         raise CapExceeded(f"partial-trace check capped at n<={cap}")
     a_mask = as_mask(g, traced)
-    state = graph_state(g)
+    if state is None:
+        state = graph_state(g)
     direct = reduced_density(state, [v for v in range(g.n) if (a_mask >> v) & 1])
 
     a_verts = list(bits_of(a_mask))

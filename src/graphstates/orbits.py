@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .entanglement import _bounds_parts, _cross_rank, lower_bound_max_rank, rank_index
+from .entanglement import _bounds_parts, lower_bound_max_rank, rank_index
 from .gf2 import gf2_kernel_basis
 from .graphs import (
     CapExceeded,
@@ -133,33 +133,6 @@ def lc_closure_with_relabelings(g: Graph, limit: int = ORBIT_LIMIT_DEFAULT) -> l
                         raise CapExceeded(f"closure exceeded {limit} members")
         frontier = nxt
     return [_graph(g.n, rows) for rows in sorted(seen)]
-
-
-def schmidt_rank_list(g: Graph, cap: int = 20) -> tuple[int, ...]:
-    """Rank for every nonempty proper subset, indexed by subset mask - 1.
-
-    Constant along a labeled orbit; two labelings of the same graph generally
-    give different lists.
-    """
-    if g.n > cap:
-        raise CapExceeded(f"rank list capped at n<={cap}, got n={g.n}")
-    full = g.vertex_mask()
-    return tuple(_cross_rank(g, m) for m in range(1, full))
-
-
-def rank_list_fingerprint(g: Graph, cap: int = 20) -> tuple[tuple[int, int], ...]:
-    """Sorted multiset of (smaller side size, rank) over unordered bipartitions;
-    invariant under local complementation and relabeling."""
-    if g.n > cap:
-        raise CapExceeded(f"fingerprint capped at n<={cap}, got n={g.n}")
-    out = []
-    for m in range(1 << (g.n - 1)):
-        a_mask = (m << 1) | 1
-        if a_mask == g.vertex_mask():
-            continue
-        size = a_mask.bit_count()
-        out.append((min(size, g.n - size), _cross_rank(g, a_mask)))
-    return tuple(sorted(out))
 
 
 def _lc_system(g: Graph, h: Graph) -> set[int]:

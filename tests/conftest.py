@@ -2,6 +2,7 @@ import pytest
 from hypothesis import settings
 
 from graphstates import orbits
+from graphstates.entanglement import _cross_rank
 from graphstates.graphs import Graph, _add_vertex, canonical_form, is_connected, to_graph6
 
 # One profile for every property test: the same examples on every run, no
@@ -42,3 +43,31 @@ def connected_classes():
 def classification7():
     """(records, member stats) for the full classification up to 7 vertices."""
     return orbits.classify_full(7)
+
+
+@pytest.fixture(scope="session")
+def schmidt_rank_list():
+    """Rank for every nonempty proper subset, indexed by subset mask - 1.
+
+    Constant along a labeled orbit; two labelings of the same graph generally
+    give different lists.
+    """
+    def ranks(g):
+        return tuple(_cross_rank(g, m) for m in range(1, g.vertex_mask()))
+    return ranks
+
+
+@pytest.fixture(scope="session")
+def rank_list_fingerprint():
+    """Sorted multiset of (smaller side size, rank) over unordered
+    bipartitions; invariant under local complementation and relabeling."""
+    def fingerprint(g):
+        out = []
+        for m in range(1 << (g.n - 1)):
+            a_mask = (m << 1) | 1
+            if a_mask == g.vertex_mask():
+                continue
+            size = a_mask.bit_count()
+            out.append((min(size, g.n - size), _cross_rank(g, a_mask)))
+        return tuple(sorted(out))
+    return fingerprint

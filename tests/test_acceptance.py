@@ -122,7 +122,8 @@ def test_criterion_01_classification_table(classification7):
     _report(1, "classification of 995 graphs into 45 classes")
 
 
-def test_criterion_01_corroborations(classification7, connected_classes):
+def test_criterion_01_corroborations(classification7, connected_classes,
+                                     rank_list_fingerprint):
     """Independently re-derive the frozen cells that disagree across common
     transcriptions of this classification."""
     records, _ = classification7
@@ -139,8 +140,8 @@ def test_criterion_01_corroborations(classification7, connected_classes):
     bipartite = [g for g in connected_classes[6] if two_coloring(g) is not None]
     assert len(bipartite) == 17
     for idx in (15, 16):
-        fp = orbits.rank_list_fingerprint(parse_graph6(records[idx].representative))
-        assert all(orbits.rank_list_fingerprint(g) != fp for g in bipartite)
+        fp = rank_list_fingerprint(parse_graph6(records[idx].representative))
+        assert all(rank_list_fingerprint(g) != fp for g in bipartite)
         assert not records[idx].has_two_colorable_member
     _report(1, "corroboration of frozen classification cells")
 
@@ -239,11 +240,11 @@ def test_criterion_07_y_measurement_closure(classification7):
     _report(7, "y-measurement of a 2-colorable graph: 132/3 closure, none 2-colorable")
 
 
-def test_criterion_08_petersen_labelings():
+def test_criterion_08_petersen_labelings(schmidt_rank_list, rank_list_fingerprint):
     g = petersen_graph()
     h = relabel(g, (5, 6, 7, 8, 9, 0, 1, 2, 3, 4))  # swap the spoke endpoints
-    assert orbits.schmidt_rank_list(g) == orbits.schmidt_rank_list(h)
-    assert orbits.rank_list_fingerprint(g) == orbits.rank_list_fingerprint(h)
+    assert schmidt_rank_list(g) == schmidt_rank_list(h)
+    assert rank_list_fingerprint(g) == rank_list_fingerprint(h)
     assert not orbits.lc_equivalent(g, h)
     _report(8, "Petersen labelings: identical rank lists, not LC-equivalent")
 

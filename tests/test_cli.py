@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from graphstates import measurement
+from graphstates import measurement, oracle
 from graphstates.cli import main
 from graphstates.graphs import cycle_graph, empty_graph, star_graph, to_graph6
 
@@ -190,6 +190,23 @@ def test_verify_measures_each_basis_once_per_trial(capsys, monkeypatch):
     assert main(["verify", "--seed", "5", "--max-vertices", "7",
                  "--trials", "4"]) == 0
     assert calls == ["x", "y", "z"] * 4
+
+
+def test_verify_builds_and_diagonalizes_each_trial_state_once(capsys, monkeypatch):
+    counts = {"graph_state": 0, "_small_side_spectrum": 0}
+    for name in counts:
+        original = getattr(oracle, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counting)
+    assert main(["verify", "--seed", "5", "--max-vertices", "7",
+                 "--trials", "4"]) == 0
+    # per trial: the state, one rewritten state per basis, the complemented
+    # state and the reduced graph's state behind the partial-trace mixture
+    assert counts == {"graph_state": 6 * 4, "_small_side_spectrum": 4}
 
 
 def _verify_with_mutated_byproducts(monkeypatch, mutate):

@@ -1,13 +1,16 @@
 """Schmidt ranks, rank indices, bounds, and the persistency search."""
 
+import itertools
 import json
 import random
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from graphstates import entanglement, oracle
 from graphstates.entanglement import (
+    DEFAULT_SCAN_CAP,
     SEARCH_NODE_CAP,
     bounds,
     lower_bound_max_rank,
@@ -17,6 +20,7 @@ from graphstates.entanglement import (
     schmidt_rank,
     two_colorable_bounds,
 )
+from graphstates.gf2 import gf2_kernel_basis
 from graphstates.graphs import (
     CapExceeded,
     bits_of,
@@ -24,6 +28,7 @@ from graphstates.graphs import (
     connected_components,
     cycle_graph,
     delete_vertex,
+    empty_graph,
     from_edges,
     greedy_vertex_cover,
     grid_graph,
@@ -105,6 +110,90 @@ def test_lower_bound_examples():
     assert lower_bound_max_rank(path_graph(2)) == 1
     assert lower_bound_max_rank(cycle_graph(6)) == 3
     assert lower_bound_max_rank(path_graph(4)) == 2
+
+
+def _reference_cross_rank(g, a_mask):
+    """Cut rank by the kernel dimension of the cross block, independent of
+    gf2_rank_of_rows."""
+    b_mask = g.vertex_mask() & ~a_mask
+    rows = [g.rows[v] & b_mask for v in bits_of(a_mask)]
+    return g.n - len(gf2_kernel_basis(rows, g.n))
+
+
+def _reference_max_rank(g):
+    """The mask-order scan: every split with vertex 0 on side A, in numeric
+    order, stopping at floor(n/2)."""
+    best = 0
+    for m in range(1 << max(g.n - 1, 0)):
+        a_mask = (m << 1) | 1
+        if a_mask >= g.vertex_mask():
+            continue
+        best = max(best, _reference_cross_rank(g, a_mask))
+        if best == g.n // 2:
+            break
+    return best
+
+
+def _reference_rank_index(g, k):
+    counts = [0] * k
+    for combo in itertools.combinations(range(g.n), k):
+        if 2 * k == g.n and combo[0] != 0:
+            continue
+        counts[k - _reference_cross_rank(g, _mask(combo))] += 1
+    return tuple(counts)
+
+
+def _labelled_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for keep in range(1 << len(pairs)):
+        yield from_edges(n, [e for i, e in enumerate(pairs) if (keep >> i) & 1])
+
+
+def test_splits_list_each_unordered_split_once():
+    for n in range(0, 15):
+        for k in range(1, n // 2 + 1):
+            masks = list(entanglement._splits(n, k))
+            assert len(set(masks)) == len(masks)
+            assert len(masks) == (comb(n, k) // 2 if 2 * k == n else comb(n, k))
+            assert all(m.bit_count() == k and m >> n == 0 for m in masks)
+            if 2 * k == n:
+                assert all(m & 1 for m in masks)  # halves counted once
+
+
+def test_lower_bound_matches_mask_order_scan_on_all_small_labelled_graphs():
+    for n in range(0, 6):
+        for g in _labelled_graphs(n):
+            assert lower_bound_max_rank(g) == _reference_max_rank(g), g.rows
+
+
+def test_lower_bound_and_rank_index_match_references_on_connected_classes(connected_classes):
+    for n, classes in connected_classes.items():
+        for g in classes:
+            assert lower_bound_max_rank(g) == _reference_max_rank(g), g.rows
+            for k in (2, 3):
+                if k <= n // 2:
+                    assert rank_index(g, k).counts == _reference_rank_index(g, k)
+
+
+def test_lower_bound_matches_mask_order_scan_on_random_graphs():
+    rng = random.Random(34)
+    for _ in range(60):
+        n = rng.randrange(0, 13)
+        p = rng.choice((0.0, 0.1, 0.2, 0.35, 0.5, 0.8))
+        g = from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        assert lower_bound_max_rank(g) == _reference_max_rank(g), (n, g.rows)
+    for n in (3, 8, 12):
+        assert lower_bound_max_rank(empty_graph(n)) == 0 == _reference_max_rank(empty_graph(n))
+    for _ in range(10):
+        g = random_connected_graph(rng, rng.randrange(6, 13), 0.3)
+        for k in (2, 3):
+            assert rank_index(g, k).counts == _reference_rank_index(g, k)
+
+
+def test_lower_bound_scan_cap():
+    with pytest.raises(CapExceeded):
+        lower_bound_max_rank(path_graph(DEFAULT_SCAN_CAP + 1))
+    assert lower_bound_max_rank(cycle_graph(DEFAULT_SCAN_CAP)) == DEFAULT_SCAN_CAP // 2
 
 
 def test_persistency_examples():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from graphstates import oracle
+from graphstates.entanglement import schmidt_rank
 from graphstates.graphs import (
     CapExceeded,
     cycle_graph,
@@ -115,6 +116,28 @@ def test_reduced_rank_and_entropy_basic():
     bell = oracle.graph_state(from_edges(2, [(0, 1)]))
     assert oracle.reduced_rank(bell, [0]) == 2
     assert abs(oracle.reduced_entropy(bell, [0]) - 1.0) < 1e-9
+
+
+def test_reduced_rank_and_entropy_follow_the_cut_rank():
+    rng = random.Random(35)
+    for _ in range(20):
+        g = random_connected_graph(rng, rng.randrange(2, 9))
+        traced = rng.randrange(1, g.vertex_mask())
+        r = schmidt_rank(g, traced)
+        rank, entropy = oracle.reduced_rank_and_entropy(oracle.graph_state(g), traced)
+        assert rank == 1 << r and abs(entropy - r) < 1e-9
+
+
+def test_partial_trace_form_with_a_given_state():
+    rng = random.Random(36)
+    for _ in range(20):
+        g = random_connected_graph(rng, rng.randrange(3, 8))
+        subset = rng.randrange(1, g.vertex_mask())
+        assert oracle.verify_partial_trace_form(g, subset, state=oracle.graph_state(g))
+        # the mixture comes from the reduced graph, so a product state, whose
+        # reduction is pure, fails against the mixed reduction of a connected g
+        product = oracle.graph_state(empty_graph(g.n))
+        assert not oracle.verify_partial_trace_form(g, subset, state=product)
 
 
 def test_partial_trace_form():

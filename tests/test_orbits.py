@@ -211,16 +211,17 @@ def test_scrambles_are_lc_equivalent_with_a_checked_witness(pair):
     _assert_witness(g, h, orbits.lc_equivalence_witness(g, h))
 
 
-def test_rank_list_is_constant_on_orbits():
+def test_rank_list_is_constant_on_orbits(schmidt_rank_list):
     rng = random.Random(27)
     for _ in range(30):
         g = random_connected_graph(rng, rng.randrange(2, 8))
-        ref = orbits.schmidt_rank_list(g)
+        ref = schmidt_rank_list(g)
         for a in range(g.n):
-            assert orbits.schmidt_rank_list(local_complement(g, a)) == ref
+            assert schmidt_rank_list(local_complement(g, a)) == ref
 
 
-def test_disjoint_orbits_of_one_class_have_different_rank_lists():
+def test_disjoint_orbits_of_one_class_have_different_rank_lists(
+        schmidt_rank_list, rank_list_fingerprint):
     # two labelings of the 4-path that no complementation sequence connects:
     # same fingerprint (they are isomorphic) but different labeled rank lists
     base = path_graph(4)
@@ -233,18 +234,18 @@ def test_disjoint_orbits_of_one_class_have_different_rank_lists():
             break
     assert other is not None
     assert not orbits.lc_equivalent(base, other)
-    assert orbits.schmidt_rank_list(base) != orbits.schmidt_rank_list(other)
-    assert orbits.rank_list_fingerprint(base) == orbits.rank_list_fingerprint(other)
+    assert schmidt_rank_list(base) != schmidt_rank_list(other)
+    assert rank_list_fingerprint(base) == rank_list_fingerprint(other)
 
 
-def test_fingerprint_is_isomorphism_invariant():
+def test_fingerprint_is_isomorphism_invariant(rank_list_fingerprint):
     rng = random.Random(28)
     for _ in range(20):
         g = random_connected_graph(rng, rng.randrange(2, 8))
         perm = list(range(g.n))
         rng.shuffle(perm)
-        assert orbits.rank_list_fingerprint(g) == \
-            orbits.rank_list_fingerprint(relabel(g, perm))
+        assert rank_list_fingerprint(g) == \
+            rank_list_fingerprint(relabel(g, perm))
 
 
 def test_classify_two_vertices():
