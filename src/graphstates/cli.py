@@ -82,9 +82,7 @@ def _cmd_bounds(args) -> int:
     for g in graphs:
         if g.n > args.max_vertices:
             raise CapExceeded(f"graph has {g.n} vertices, cap is {args.max_vertices}")
-        records.append(entanglement.bounds_record(
-            g, search_cap=max(entanglement.DEFAULT_SEARCH_CAP, args.max_vertices),
-            depth_limit=args.depth_limit))
+        records.append(entanglement.bounds_record(g, depth_limit=args.depth_limit))
     if args.format == "json":
         _emit(json.dumps(records, indent=2) + "\n", args.output)
     elif args.format == "csv":
@@ -255,7 +253,8 @@ def _build_parser() -> _Parser:
     b = sub.add_parser("bounds", help="Schmidt-measure bounds for graph6 input")
     b.add_argument("graph", help="graph6 string, file of graph6 lines, or -")
     b.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    b.add_argument("--max-vertices", type=int, default=12)
+    b.add_argument("--max-vertices", type=_int_at_least(1), default=12,
+                   help="largest graph accepted; a larger one exits with code 2")
     b.add_argument("--depth-limit", type=_int_at_least(0), default=None,
                    help="limit persistency search depth (upper bound stays valid)")
     b.add_argument("--output")
@@ -282,7 +281,7 @@ def _build_parser() -> _Parser:
     o.add_argument("graph")
     o.add_argument("--orbit-limit", type=_int_at_least(1),
                    default=orbits.ORBIT_LIMIT_DEFAULT)
-    o.add_argument("--max-vertices", type=int, default=12)
+    o.add_argument("--max-vertices", type=_int_at_least(1), default=12)
     o.add_argument("--with-isomorphisms", action="store_true",
                    help="also close under vertex relabelings")
     o.add_argument("--output")

@@ -19,9 +19,11 @@ neighbourhoods agree outside the pair).  Swapping twins is an automorphism,
 so measuring either twin in the same basis gives isomorphic graphs; for x the
 two default special neighbours may differ, but any choice gives a locally
 equivalent graph.  Persistency is invariant under both, so the pruning is
-exact.  The search gives up with CapExceeded once its memo holds more than
-SEARCH_NODE_CAP nodes: every benchmark and classification input stays below
-1,100, while gap graphs at n = 12 would otherwise run for minutes.
+exact.  The search's only bound is its node cap: it gives up with
+CapExceeded once its memo holds more than SEARCH_NODE_CAP nodes, whatever n
+is.  Every benchmark and classification input stays below 1,100 nodes, odd
+rings up to C13 finish in seconds, and gap graphs at n = 12 that would
+otherwise run for minutes stop in a few seconds.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from .graphs import (
 )
 from .measurement import measure_via_lc
 
-DEFAULT_SCAN_CAP = 20
-DEFAULT_SEARCH_CAP = 7
+SCAN_CAP = 20  # vertices before the bipartition scan gives up
 SEARCH_NODE_CAP = 20_000  # memo entries before the persistency search gives up
 
 
@@ -123,10 +124,10 @@ def rank_index(g: Graph, k: int) -> RankIndex:
     return RankIndex(k, tuple(counts))
 
 
-def lower_bound_max_rank(g: Graph, cap: int = DEFAULT_SCAN_CAP) -> int:
+def lower_bound_max_rank(g: Graph) -> int:
     """Maximum Schmidt rank over all bipartitions."""
-    if g.n > cap:
-        raise CapExceeded(f"bipartition scan capped at n<={cap}, got n={g.n}")
+    if g.n > SCAN_CAP:
+        raise CapExceeded(f"bipartition scan capped at n<={SCAN_CAP}, got n={g.n}")
     best = 0
     for k in range(g.n // 2, 0, -1):
         if k <= best:
@@ -180,7 +181,7 @@ def _can_disentangle(g: Graph, budget: int, memo: dict) -> bool:
     return result
 
 
-def _bounds_parts(g: Graph, search_cap: int, depth_limit: int | None) -> tuple[int, int, int]:
+def _bounds_parts(g: Graph, depth_limit: int | None) -> tuple[int, int, int]:
     """(lower, upper, cover_size); upper is the exact Pauli persistency unless
     depth_limit cut the search short, in which case it is still a valid upper
     bound (the cover size)."""
@@ -188,9 +189,6 @@ def _bounds_parts(g: Graph, search_cap: int, depth_limit: int | None) -> tuple[i
     cover = min_vertex_cover(g).bit_count()
     if lower == cover:
         return lower, lower, cover
-    if g.n > search_cap:
-        raise CapExceeded(
-            f"persistency search capped at n<={search_cap}, got n={g.n}")
     memo: dict = {}
     top = cover if depth_limit is None else min(cover, depth_limit + 1)
     for depth in range(lower, top):
@@ -199,20 +197,19 @@ def _bounds_parts(g: Graph, search_cap: int, depth_limit: int | None) -> tuple[i
     return lower, cover, cover
 
 
-def pauli_persistency(g: Graph, search_cap: int = DEFAULT_SEARCH_CAP,
-                      depth_limit: int | None = None) -> int:
+def pauli_persistency(g: Graph, depth_limit: int | None = None) -> int:
     """Minimal number of single-qubit Pauli measurements that disentangles the
     graph state (graph rules, minimum-index special neighbor for x).
 
     When the lower bound already meets the minimum vertex cover size no search
-    is needed at any n; otherwise n must be within search_cap.
+    is needed.  Otherwise the node cap is the search's only bound: it raises
+    CapExceeded after SEARCH_NODE_CAP memo entries, at any n.
     """
-    return _bounds_parts(g, search_cap, depth_limit)[1]
+    return _bounds_parts(g, depth_limit)[1]
 
 
-def bounds(g: Graph, search_cap: int = DEFAULT_SEARCH_CAP,
-           depth_limit: int | None = None) -> BoundsReport:
-    lower, upper, cover = _bounds_parts(g, search_cap, depth_limit)
+def bounds(g: Graph, depth_limit: int | None = None) -> BoundsReport:
+    lower, upper, cover = _bounds_parts(g, depth_limit)
     return BoundsReport(lower, upper, cover, lower == upper)
 
 
@@ -267,10 +264,9 @@ def two_colorable_bounds(g: Graph) -> tuple[int, int]:
     return lower, upper
 
 
-def bounds_record(g: Graph, search_cap: int = DEFAULT_SEARCH_CAP,
-                  depth_limit: int | None = None) -> dict:
+def bounds_record(g: Graph, depth_limit: int | None = None) -> dict:
     """Flat record used for CSV/JSON rendering of a bounds query."""
-    rep = bounds(g, search_cap, depth_limit)
+    rep = bounds(g, depth_limit)
     record = {
         "graph6": to_graph6(g),
         "lower": rep.lower,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-DEFAULT_CANONICAL_CAP = 10
+CANONICAL_CAP = 10  # vertices before canonical_form gives up
 RANDOM_GRAPH_DRAW_CAP = 10_000  # disconnected draws before random_connected_graph gives up
 
 
@@ -278,15 +278,6 @@ def delete_vertex(g: Graph, a: int) -> Graph:
     return _graph(g.n - 1, tuple(rows))
 
 
-def delete_vertices(g: Graph, subset) -> Graph:
-    """Delete a whole vertex set (labels of the survivors keep their order)."""
-    mask = as_mask(g, subset)
-    out = g
-    for v in sorted(bits_of(mask), reverse=True):
-        out = delete_vertex(out, v)
-    return out
-
-
 def induced_subgraph(g: Graph, subset) -> Graph:
     """Keep only the vertices in subset (order preserved) and edges inside it."""
     mask = as_mask(g, subset)
@@ -528,23 +519,23 @@ def _canonical_cached(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     return relabel(g, perm), perm
 
 
-def canonical_form(g: Graph, cap: int = DEFAULT_CANONICAL_CAP) -> tuple[Graph, tuple[int, ...]]:
+def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     """Lexicographically minimal relabeling of g plus a witnessing permutation.
 
     Minimality is over the upper-triangle adjacency bit-string read column by
     column; the witness maps canonical position i to original vertex perm[i].
     """
-    if g.n > cap:
-        raise CapExceeded(f"canonical_form capped at n<={cap}, got n={g.n}")
+    if g.n > CANONICAL_CAP:
+        raise CapExceeded(f"canonical_form capped at n<={CANONICAL_CAP}, got n={g.n}")
     return _canonical_cached(g)
 
 
-def is_isomorphic(g: Graph, h: Graph, cap: int = DEFAULT_CANONICAL_CAP) -> bool:
+def is_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
     if sorted(r.bit_count() for r in g.rows) != sorted(r.bit_count() for r in h.rows):
         return False
-    return canonical_form(g, cap)[0].rows == canonical_form(h, cap)[0].rows
+    return canonical_form(g)[0].rows == canonical_form(h)[0].rows
 
 
 # ---------------------------------------------------------------------------

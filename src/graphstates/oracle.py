@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import CapExceeded, Graph, as_mask, bits_of, delete_vertices
+from .graphs import CapExceeded, Graph, as_mask, bits_of, induced_subgraph
 from .stabilizer import (
     CLIFFORD_MATRICES,
     CL_I,
@@ -25,6 +25,7 @@ from .stabilizer import (
 )
 
 STATE_CAP = 12
+TRACE_FORM_CAP = 10  # vertices before verify_partial_trace_form gives up
 PHASE_TOL = 1e-9
 RANK_TOL = 1e-8
 
@@ -62,14 +63,14 @@ def _index_bits(mask: int, n: int) -> int:
     return int(format(mask, f"0{n}b")[::-1], 2)
 
 
-def graph_state(g: Graph, cap: int = STATE_CAP) -> np.ndarray:
+def graph_state(g: Graph) -> np.ndarray:
     """Controlled-Z circuit applied to the uniform superposition.
 
     Built one vertex at a time, from the last to vertex 0: vertex v becomes
     the new high bit, and its "1" half is the vector so far times
     (-1)^(number of later neighbours of v set in the index)."""
-    if g.n > cap:
-        raise CapExceeded(f"dense states capped at n<={cap}, got n={g.n}")
+    if g.n > STATE_CAP:
+        raise CapExceeded(f"dense states capped at n<={STATE_CAP}, got n={g.n}")
     n = g.n
     vec = np.full(1, 1.0 / np.sqrt(1 << n))
     idx = np.arange(1 << max(n - 1, 0))
@@ -131,12 +132,12 @@ def apply_pauli(state: np.ndarray, p: PauliOp) -> np.ndarray:
     return (1j) ** p.phase * signs * state[src]
 
 
-def equal_up_to_global_phase(s: np.ndarray, t: np.ndarray, tol: float = PHASE_TOL) -> bool:
+def equal_up_to_global_phase(s: np.ndarray, t: np.ndarray) -> bool:
     ns = np.sqrt(np.vdot(s, s).real)
     nt = np.sqrt(np.vdot(t, t).real)
     if ns < 1e-12 or nt < 1e-12:
         return False
-    return abs(np.vdot(s, t)) / (ns * nt) >= 1.0 - tol
+    return abs(np.vdot(s, t)) / (ns * nt) >= 1.0 - PHASE_TOL
 
 
 def insert_qubit(state: np.ndarray, site: int, vec2: np.ndarray) -> np.ndarray:
@@ -161,34 +162,29 @@ def reduced_density(state: np.ndarray, traced) -> np.ndarray:
 
 def _small_side_spectrum(state: np.ndarray, traced_mask: int) -> np.ndarray:
     """Eigenvalues of the reduced density operator, diagonalized on whichever
-    side is smaller (both sides share the nonzero spectrum for a pure state)."""
+    side is smaller (both sides share the nonzero spectrum for a pure state):
+    the larger side is the one traced out."""
     n = _n_qubits(state)
-    small = [v for v in range(n) if (traced_mask >> v) & 1]
-    if len(small) > n - len(small):
-        small = [v for v in range(n) if not (traced_mask >> v) & 1]
-    other = [v for v in range(n) if v not in small]
-    psi = state.reshape((2,) * n)
-    t = np.transpose(psi, other + small).reshape(-1, 1 << len(small))
-    rho_small = t.T @ t.conj()
-    return np.linalg.eigvalsh(rho_small)
+    if 2 * traced_mask.bit_count() <= n:
+        traced_mask ^= (1 << n) - 1
+    return np.linalg.eigvalsh(reduced_density(state, traced_mask))
 
 
-def reduced_rank_and_entropy(state: np.ndarray, traced, tol: float = RANK_TOL
-                             ) -> tuple[int, float]:
+def reduced_rank_and_entropy(state: np.ndarray, traced) -> tuple[int, float]:
     """Rank, and entropy in bits, of the density operator left after tracing
     out the given qubits, both from one diagonalization."""
     _n_qubits(state)
     mask = traced if isinstance(traced, int) else sum(1 << v for v in traced)
     if mask == 0:
-        return (1 if np.linalg.norm(state) > tol else 0), 0.0
+        return (1 if np.linalg.norm(state) > RANK_TOL else 0), 0.0
     evals = _small_side_spectrum(state, mask)
     nonzero = evals[evals > 1e-14]
-    return int((evals > tol).sum()), float(-(nonzero * np.log2(nonzero)).sum())
+    return int((evals > RANK_TOL).sum()), float(-(nonzero * np.log2(nonzero)).sum())
 
 
-def reduced_rank(state: np.ndarray, traced, tol: float = RANK_TOL) -> int:
+def reduced_rank(state: np.ndarray, traced) -> int:
     """Rank of the density operator left after tracing out the given qubits."""
-    return reduced_rank_and_entropy(state, traced, tol)[0]
+    return reduced_rank_and_entropy(state, traced)[0]
 
 
 def reduced_entropy(state: np.ndarray, traced) -> float:
@@ -196,15 +192,14 @@ def reduced_entropy(state: np.ndarray, traced) -> float:
     return reduced_rank_and_entropy(state, traced)[1]
 
 
-def verify_partial_trace_form(g: Graph, traced, tol: float = RANK_TOL,
-                              cap: int = 10, state: np.ndarray | None = None) -> bool:
+def verify_partial_trace_form(g: Graph, traced, state: np.ndarray | None = None) -> bool:
     """Check that tracing out a vertex set equals the uniform mixture of
     locally rotated graph states of the reduced graph.
 
     state, when given, must be graph_state(g); the mixture is always built
     from the reduced graph's own state."""
-    if g.n > cap:
-        raise CapExceeded(f"partial-trace check capped at n<={cap}")
+    if g.n > TRACE_FORM_CAP:
+        raise CapExceeded(f"partial-trace check capped at n<={TRACE_FORM_CAP}")
     a_mask = as_mask(g, traced)
     if state is None:
         state = graph_state(g)
@@ -213,7 +208,7 @@ def verify_partial_trace_form(g: Graph, traced, tol: float = RANK_TOL,
     a_verts = list(bits_of(a_mask))
     kept = [v for v in range(g.n) if not (a_mask >> v) & 1]
     pos = {v: i for i, v in enumerate(kept)}
-    reduced_graph = delete_vertices(g, a_mask)
+    reduced_graph = induced_subgraph(g, g.vertex_mask() & ~a_mask)
     base = graph_state(reduced_graph)
     dim = len(base)
     idx = np.arange(dim)
@@ -231,4 +226,4 @@ def verify_partial_trace_form(g: Graph, traced, tol: float = RANK_TOL,
         phased = (1.0 - 2.0 * (np.bitwise_count(idx & phase_bits) & 1)) * base
         mix += np.outer(phased, phased.conj())
     mix /= 1 << k
-    return bool(np.max(np.abs(mix - direct)) <= tol)
+    return bool(np.max(np.abs(mix - direct)) <= RANK_TOL)

@@ -340,9 +340,8 @@ def classify_full(n_max: int) -> tuple[list[ClassRecord], dict[str, MemberStats]
         raise CapExceeded(f"classification capped at n_max<={CLASSIFY_CAP}")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    search_cap = max(7, n_max)
     member_map: dict[str, MemberStats] = {}
-    raw = []
+    records = []
     for members in _lc_classes(n_max):
         members.sort(key=lambda g: (g.edge_count, to_graph6(g)))
         ms = [_member_stats(g) for g in members]
@@ -354,37 +353,23 @@ def classify_full(n_max: int) -> tuple[list[ClassRecord], dict[str, MemberStats]
             if len(vals) != 1:
                 raise AssertionError(f"{field} must be constant on a class")
         rep = ms[0]
-        upper = _bounds_parts(members[0], search_cap, None)[1]
+        upper = _bounds_parts(members[0], None)[1]
         member_map.update((s.graph6, replace(s, upper=upper)) for s in ms)
-        raw.append((
-            rep.n,
-            rep.edges,
-            rep.lower,
-            upper,
-            rep.ri_3 or (),
-            rep.ri_2 or (),
-            rep.graph6,
-            len(ms),
-            any(s.two_colorable for s in ms),
-            rep.ri_3,
-            rep.ri_2,
-        ))
-    raw.sort(key=lambda t: t[:7])
-
-    records = []
-    for i, (n, edges, lower, upper, _, _, rep_g6, count, twocol, ri3, ri2) in enumerate(raw, 1):
         records.append(ClassRecord(
-            class_id=i,
-            representative=rep_g6,
-            member_count=count,
-            n_vertices=n,
-            n_edges=edges,
-            lower=lower,
+            class_id=0,  # numbered after the sort
+            representative=rep.graph6,
+            member_count=len(ms),
+            n_vertices=rep.n,
+            n_edges=rep.edges,
+            lower=rep.lower,
             upper=upper,
-            ri_3=ri3,
-            ri_2=ri2,
-            has_two_colorable_member=twocol,
+            ri_3=rep.ri_3,
+            ri_2=rep.ri_2,
+            has_two_colorable_member=any(s.two_colorable for s in ms),
         ))
+    records.sort(key=lambda r: (r.n_vertices, r.n_edges, r.lower, r.upper,
+                                r.ri_3 or (), r.ri_2 or (), r.representative))
+    records = [replace(r, class_id=i) for i, r in enumerate(records, 1)]
     return records, member_map
 
 

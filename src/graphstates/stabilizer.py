@@ -21,6 +21,7 @@ from .graphs import CapExceeded, Graph, bits_of, as_mask
 
 AXIS_X, AXIS_Y, AXIS_Z = 0, 1, 2
 _AXIS_NAMES = "xyz"
+SUPPORT_CAP = 16  # vertices before exact_support_count gives up
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -112,7 +113,6 @@ CL_Z = _index_of_matrix(PAULI_MATRICES[AXIS_Z])
 CL_H = _index_of_matrix(_H_MATRIX)
 CL_S = _index_of_matrix(_S_MATRIX)
 CL_SDG = _index_of_matrix(_S_MATRIX.conj().T)
-CL_SQRT_IX = _index_of_matrix(SQRT_MATRICES[("x", +1)])
 CL_SQRT_MIX = _index_of_matrix(SQRT_MATRICES[("x", -1)])
 CL_SQRT_IY = _index_of_matrix(SQRT_MATRICES[("y", +1)])
 CL_SQRT_MIY = _index_of_matrix(SQRT_MATRICES[("y", -1)])
@@ -223,7 +223,7 @@ def stabilizer_element(g: Graph, subset) -> PauliOp:
     return out
 
 
-def exact_support_count(g: Graph, subset, cap: int = 16) -> int:
+def exact_support_count(g: Graph, subset) -> int:
     """Number of stabilizer elements acting non-trivially exactly on the subset.
 
     Only generator products over S within the subset can qualify (the
@@ -231,8 +231,8 @@ def exact_support_count(g: Graph, subset, cap: int = 16) -> int:
     submasks of the subset.
     """
     a_mask = as_mask(g, subset)
-    if g.n > cap:
-        raise CapExceeded(f"support enumeration capped at n<={cap}, got n={g.n}")
+    if g.n > SUPPORT_CAP:
+        raise CapExceeded(f"support enumeration capped at n<={SUPPORT_CAP}, got n={g.n}")
     count = 0
     s = a_mask
     while True:

@@ -62,6 +62,10 @@ def test_usage_error_exits_one(capsys):
     (["bounds", "A_", "--depth-limit", "x"], "argument --depth-limit: invalid int value: 'x'"),
     (["orbit", "A_", "--orbit-limit", "0"], "argument --orbit-limit: must be at least 1, got 0"),
     (["orbit", "A_", "--orbit-limit", "-1"], "argument --orbit-limit: must be at least 1, got -1"),
+    (["bounds", "A_", "--max-vertices", "0"], "argument --max-vertices: must be at least 1, got 0"),
+    (["bounds", "A_", "--max-vertices", "-5"], "argument --max-vertices: must be at least 1, got -5"),
+    (["orbit", "A_", "--max-vertices", "0"], "argument --max-vertices: must be at least 1, got 0"),
+    (["orbit", "A_", "--max-vertices", "-5"], "argument --max-vertices: must be at least 1, got -5"),
 ])
 def test_out_of_range_integers_are_usage_errors(capsys, argv, message):
     assert main(argv) == 1

@@ -10,7 +10,7 @@ import pytest
 
 from graphstates import entanglement, oracle
 from graphstates.entanglement import (
-    DEFAULT_SCAN_CAP,
+    SCAN_CAP,
     SEARCH_NODE_CAP,
     bounds,
     lower_bound_max_rank,
@@ -192,8 +192,8 @@ def test_lower_bound_matches_mask_order_scan_on_random_graphs():
 
 def test_lower_bound_scan_cap():
     with pytest.raises(CapExceeded):
-        lower_bound_max_rank(path_graph(DEFAULT_SCAN_CAP + 1))
-    assert lower_bound_max_rank(cycle_graph(DEFAULT_SCAN_CAP)) == DEFAULT_SCAN_CAP // 2
+        lower_bound_max_rank(path_graph(SCAN_CAP + 1))
+    assert lower_bound_max_rank(cycle_graph(SCAN_CAP)) == SCAN_CAP // 2
 
 
 def test_persistency_examples():
@@ -228,9 +228,10 @@ def test_bounds_odd_ring_gap():
     assert (rep.lower, rep.upper, rep.cover_size, rep.tight) == (2, 3, 3, False)
 
 
-def test_persistency_cap():
-    with pytest.raises(CapExceeded):
-        pauli_persistency(cycle_graph(9))  # gap case above the search cap
+def test_persistency_odd_rings():
+    # gap cases above n = 7: only the node cap bounds the search
+    for n in (9, 11):
+        assert pauli_persistency(cycle_graph(n)) == (n + 1) // 2
 
 
 def test_persistency_node_cap():
@@ -238,7 +239,7 @@ def test_persistency_node_cap():
     g = parse_graph6("KVp`qtKGUrkO")
     assert (lower_bound_max_rank(g), min_vertex_cover(g).bit_count()) == (6, 7)
     with pytest.raises(CapExceeded, match=str(SEARCH_NODE_CAP)):
-        pauli_persistency(g, search_cap=12)
+        pauli_persistency(g)
 
 
 def _reference_can_disentangle(g, budget, memo):
@@ -345,7 +346,7 @@ def test_measuring_either_twin_gives_equivalent_graphs():
 
 def test_bounds_match_the_frozen_benchmark_pool():
     for entry in json.loads(BOUNDS_POOL.read_text()):
-        rep = bounds(parse_graph6(entry["graph6"]), search_cap=18)
+        rep = bounds(parse_graph6(entry["graph6"]))
         assert (rep.lower, rep.upper, rep.cover_size) == (
             entry["lower"], entry["upper"], entry["cover"]), entry["graph6"]
 

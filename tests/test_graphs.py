@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from graphstates.graphs import (
-    DEFAULT_CANONICAL_CAP,
+    CANONICAL_CAP,
     CapExceeded,
     Graph,
     as_mask,
@@ -232,7 +232,7 @@ def _nx_graph(g):
 
 
 def test_canonical_form_on_symmetric_graphs_at_the_cap():
-    n = DEFAULT_CANONICAL_CAP
+    n = CANONICAL_CAP
     matching = [(2 * i, 2 * i + 1) for i in range(n // 2)]
     two_rings = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
     cocktail_party = [(i, j) for j in range(n) for i in range(j) if (i, j) not in matching]

@@ -41,7 +41,14 @@ def test_edge_state():
 
 def test_cap():
     with pytest.raises(CapExceeded):
-        oracle.graph_state(empty_graph(13))
+        oracle.graph_state(empty_graph(oracle.STATE_CAP + 1))
+
+
+def test_partial_trace_form_cap():
+    n = oracle.TRACE_FORM_CAP
+    assert oracle.verify_partial_trace_form(path_graph(n), (1 << n) - 2)
+    with pytest.raises(CapExceeded):
+        oracle.verify_partial_trace_form(path_graph(n + 1), (1 << (n + 1)) - 2)
 
 
 def test_generators_fix_the_state():

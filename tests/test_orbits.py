@@ -37,7 +37,8 @@ from graphstates.stabilizer import (
     stabilizer_generator,
 )
 
-LC_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "lc_pool.json"
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+LC_POOL = REFERENCE / "lc_pool.json"
 
 
 def _all_graphs(n):
@@ -298,6 +299,11 @@ def test_classes_cover_every_connected_graph(classification7, connected_classes)
     for n, classes in connected_classes.items():
         assert {s.graph6 for s in members.values() if s.n == n} == \
             {to_graph6(g) for g in classes}
+
+
+def test_csv_matches_the_frozen_classify7_table(classification7):
+    records, _ = classification7
+    assert orbits.records_to_csv(records).encode() == (REFERENCE / "classify7.csv").read_bytes()
 
 
 def test_class_counts_match_a090899(classification7):

@@ -7,6 +7,7 @@ import pytest
 
 from graphstates import stabilizer as st
 from graphstates.graphs import (
+    CapExceeded,
     complete_graph,
     cycle_graph,
     from_edges,
@@ -83,6 +84,12 @@ def test_exact_support_count_examples():
     k2 = from_edges(2, [(0, 1)])
     assert st.exact_support_count(k2, 0) == 1
     assert st.exact_support_count(k2, 0b11) == 3
+
+
+def test_exact_support_count_cap():
+    assert st.exact_support_count(path_graph(st.SUPPORT_CAP), 0b1) == 0
+    with pytest.raises(CapExceeded):
+        st.exact_support_count(path_graph(st.SUPPORT_CAP + 1), 0b1)
 
 
 def test_support_count_identity_random():
