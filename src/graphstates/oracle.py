@@ -149,14 +149,27 @@ def insert_qubit(state: np.ndarray, site: int, vec2: np.ndarray) -> np.ndarray:
     return (t * np.asarray(vec2, dtype=complex).reshape(1, 2, 1)).reshape(-1)
 
 
+def _traced_mask(traced, n: int) -> int:
+    """Coerce an int mask or an iterable of qubits to a mask; IndexError for
+    a qubit outside 0..n-1."""
+    if isinstance(traced, int):
+        if traced & ~((1 << n) - 1):
+            raise IndexError("qubit mask outside of state")
+        return traced
+    mask = 0
+    for v in traced:
+        if not 0 <= v < n:
+            raise IndexError(v)
+        mask |= 1 << v
+    return mask
+
+
 def reduced_density(state: np.ndarray, traced) -> np.ndarray:
     """Density operator of the complement of the traced qubit set."""
     n = _n_qubits(state)
-    traced_list = sorted(traced) if not isinstance(traced, int) else \
-        [v for v in range(n) if (traced >> v) & 1]
-    kept = [v for v in range(n) if v not in traced_list]
-    psi = state.reshape((2,) * n)
-    t = np.transpose(psi, traced_list + kept).reshape(1 << len(traced_list), -1)
+    mask = _traced_mask(traced, n)
+    order = list(bits_of(mask)) + [v for v in range(n) if not (mask >> v) & 1]
+    t = np.transpose(state.reshape((2,) * n), order).reshape(1 << mask.bit_count(), -1)
     return t.T @ t.conj()
 
 
@@ -173,8 +186,7 @@ def _small_side_spectrum(state: np.ndarray, traced_mask: int) -> np.ndarray:
 def reduced_rank_and_entropy(state: np.ndarray, traced) -> tuple[int, float]:
     """Rank, and entropy in bits, of the density operator left after tracing
     out the given qubits, both from one diagonalization."""
-    _n_qubits(state)
-    mask = traced if isinstance(traced, int) else sum(1 << v for v in traced)
+    mask = _traced_mask(traced, _n_qubits(state))
     if mask == 0:
         return (1 if np.linalg.norm(state) > RANK_TOL else 0), 0.0
     evals = _small_side_spectrum(state, mask)
@@ -203,7 +215,7 @@ def verify_partial_trace_form(g: Graph, traced, state: np.ndarray | None = None)
     a_mask = as_mask(g, traced)
     if state is None:
         state = graph_state(g)
-    direct = reduced_density(state, [v for v in range(g.n) if (a_mask >> v) & 1])
+    direct = reduced_density(state, a_mask)
 
     a_verts = list(bits_of(a_mask))
     kept = [v for v in range(g.n) if not (a_mask >> v) & 1]

@@ -7,8 +7,10 @@ mask, and a global phase as a power of i.  The operator it denotes is
 
 so a site in both supports carries XZ = -iY.  Single-qubit Cliffords live in
 a precomputed 24-element table (indices, composition, inverse, and signed
-axis action), built once from explicit matrices; all symbolic paths use the
-integer tables only.
+axis action).  The group is keyed by its exact signed axis action, how each
+element permutes and signs X, Y and Z; all symbolic paths use the integer
+tables only.  Matrices exist only for the dense oracle and for
+clifford_index_of_matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from .graphs import CapExceeded, Graph, bits_of, as_mask
 
 AXIS_X, AXIS_Y, AXIS_Z = 0, 1, 2
-_AXIS_NAMES = "xyz"
 SUPPORT_CAP = 16  # vertices before exact_support_count gives up
 
 _SQ2 = 1.0 / np.sqrt(2.0)
@@ -46,87 +47,88 @@ SQRT_MATRICES = {
 
 
 def _normalize_phase(m: np.ndarray) -> np.ndarray:
-    flat = m.ravel()
-    for v in flat:
-        if abs(v) > 1e-9:
-            return m / (v / abs(v))
-    raise ValueError("zero matrix")
+    """Scale by a unit phase so the first nonzero entry is real positive."""
+    v = m.flat[np.flatnonzero(np.abs(m) > 1e-9)[0]]
+    return m / (v / abs(v))
 
 
-def _key(m: np.ndarray) -> tuple:
-    return tuple((round(v.real, 6), round(v.imag, 6)) for v in m.ravel())
+_PAULI_STACK = np.array([PAULI_MATRICES[ax] for ax in (AXIS_X, AXIS_Y, AXIS_Z)])
+
+
+def _axis_action(m: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """((axis', sign) for X, Y, Z) with  m sigma m^dagger = sign * sigma_axis'.
+
+    ValueError unless every image is a signed Pauli axis, which holds exactly
+    for the Clifford unitaries, up to any global phase."""
+    q = m @ _PAULI_STACK @ np.conj(m).T
+    # sigma_b's coefficient in q_a is the Hilbert-Schmidt product / 2
+    coeff = (q.reshape(3, 4) @ _PAULI_STACK.reshape(3, 4).conj().T).real / 2
+    axes = np.abs(coeff).argmax(axis=1)
+    signs = np.where(coeff[np.arange(3), axes] < 0, -1, 1)
+    err = np.abs(q - signs[:, None, None] * _PAULI_STACK[axes]).max()
+    if not err <= 1e-9:  # NaN fails too
+        raise ValueError("not a single-qubit Clifford unitary")
+    return tuple((int(a), int(s)) for a, s in zip(axes, signs))
+
+
+def _compose_action(a: tuple, b: tuple) -> tuple:
+    """Signed axis action of U_a U_b: b's image first, then a's."""
+    return tuple((a[ax][0], sign * a[ax][1]) for ax, sign in b)
 
 
 def _build_tables():
-    mats = [_normalize_phase(np.eye(2, dtype=complex))]
-    keys = {_key(mats[0]): 0}
+    """Breadth-first walk from I over right factors H then S, keyed by the
+    exact signed axis action (a Clifford is fixed by it up to phase)."""
+    gens = [(m, _axis_action(m)) for m in (_H_MATRIX, _S_MATRIX)]
+    mats = [np.eye(2, dtype=complex)]
+    images = [_axis_action(mats[0])]
+    index = {images[0]: 0}
     frontier = [0]
     while frontier:
         nxt = []
         for i in frontier:
-            for gen in (_H_MATRIX, _S_MATRIX):
-                m = _normalize_phase(mats[i] @ gen)
-                k = _key(m)
-                if k not in keys:
-                    keys[k] = len(mats)
-                    mats.append(m)
-                    nxt.append(keys[k])
+            for gen, gen_image in gens:
+                image = _compose_action(images[i], gen_image)
+                if image not in index:
+                    index[image] = len(images)
+                    images.append(image)
+                    mats.append(_normalize_phase(mats[i] @ gen))
+                    nxt.append(index[image])
         frontier = nxt
     if len(mats) != 24:
         raise AssertionError(f"expected 24 single-qubit Cliffords, built {len(mats)}")
-
-    def index_of(m: np.ndarray) -> int:
-        return keys[_key(_normalize_phase(m))]
-
-    compose = [[index_of(mats[i] @ mats[j]) for j in range(24)] for i in range(24)]
-    inverse = [index_of(mats[i].conj().T) for i in range(24)]
-
-    signed = {}
-    for ax, p in PAULI_MATRICES.items():
-        signed[(ax, +1)] = p
-        signed[(ax, -1)] = -p
-    axis_image = []
-    for i in range(24):
-        row = []
-        for ax in (AXIS_X, AXIS_Y, AXIS_Z):
-            q = mats[i] @ PAULI_MATRICES[ax] @ mats[i].conj().T
-            hit = None
-            for (bx, sign), target in signed.items():
-                if np.allclose(q, target, atol=1e-9):
-                    hit = (bx, sign)
-                    break
-            if hit is None:
-                raise AssertionError("conjugation left the signed Pauli axes")
-            row.append(hit)
-        axis_image.append(tuple(row))
-
-    return np.array(mats), compose, inverse, tuple(axis_image), index_of
+    compose = [[index[_compose_action(a, b)] for b in images] for a in images]
+    inverse = [row.index(0) for row in compose]
+    return np.array(mats), compose, inverse, tuple(images)
 
 
-(CLIFFORD_MATRICES, CLIFFORD_COMPOSE, CLIFFORD_INVERSE,
- CLIFFORD_AXIS_IMAGE, _index_of_matrix) = _build_tables()
+CLIFFORD_MATRICES, CLIFFORD_COMPOSE, CLIFFORD_INVERSE, CLIFFORD_AXIS_IMAGE = _build_tables()
 
-CL_I = _index_of_matrix(np.eye(2, dtype=complex))
-CL_X = _index_of_matrix(PAULI_MATRICES[AXIS_X])
-CL_Y = _index_of_matrix(PAULI_MATRICES[AXIS_Y])
-CL_Z = _index_of_matrix(PAULI_MATRICES[AXIS_Z])
-CL_H = _index_of_matrix(_H_MATRIX)
-CL_S = _index_of_matrix(_S_MATRIX)
-CL_SDG = _index_of_matrix(_S_MATRIX.conj().T)
-CL_SQRT_MIX = _index_of_matrix(SQRT_MATRICES[("x", -1)])
-CL_SQRT_IY = _index_of_matrix(SQRT_MATRICES[("y", +1)])
-CL_SQRT_MIY = _index_of_matrix(SQRT_MATRICES[("y", -1)])
-CL_SQRT_IZ = _index_of_matrix(SQRT_MATRICES[("z", +1)])
-CL_SQRT_MIZ = _index_of_matrix(SQRT_MATRICES[("z", -1)])
+
+def clifford_index_of_matrix(m: np.ndarray) -> int:
+    """Table index of a single-qubit Clifford matrix, up to global phase;
+    ValueError for any other matrix."""
+    return CLIFFORD_AXIS_IMAGE.index(_axis_action(m))
+
+
+CL_I = clifford_index_of_matrix(np.eye(2, dtype=complex))
+CL_X = clifford_index_of_matrix(PAULI_MATRICES[AXIS_X])
+CL_Y = clifford_index_of_matrix(PAULI_MATRICES[AXIS_Y])
+CL_Z = clifford_index_of_matrix(PAULI_MATRICES[AXIS_Z])
+CL_H = clifford_index_of_matrix(_H_MATRIX)
+CL_S = clifford_index_of_matrix(_S_MATRIX)
+CL_SDG = clifford_index_of_matrix(_S_MATRIX.conj().T)
+CL_SQRT_MIX = clifford_index_of_matrix(SQRT_MATRICES[("x", -1)])
+CL_SQRT_IY = clifford_index_of_matrix(SQRT_MATRICES[("y", +1)])
+CL_SQRT_MIY = clifford_index_of_matrix(SQRT_MATRICES[("y", -1)])
+CL_SQRT_IZ = clifford_index_of_matrix(SQRT_MATRICES[("z", +1)])
+CL_SQRT_MIZ = clifford_index_of_matrix(SQRT_MATRICES[("z", -1)])
 
 
 def _build_names() -> tuple[str, ...]:
     names = {CL_I: "I", CL_X: "X", CL_Y: "Y", CL_Z: "Z", CL_H: "H",
-             CL_S: "S", CL_SDG: "Sd"}
-    for ax in "xy":
-        for sign, tag in ((+1, "+"), (-1, "-")):
-            idx = _index_of_matrix(SQRT_MATRICES[(ax, sign)])
-            names.setdefault(idx, f"Q{ax}{tag}")
+             CL_S: "S", CL_SDG: "Sd", CL_SQRT_MIX: "Qx-", CL_SQRT_IY: "Qy+",
+             CL_SQRT_MIY: "Qy-", clifford_index_of_matrix(SQRT_MATRICES["x", +1]): "Qx+"}
     # the rest get their shortest H/S word
     frontier = [(CL_I, "")]
     seen = {CL_I}
@@ -151,11 +153,6 @@ def clifford_axis_image(idx: int, axis: int) -> tuple[int, int]:
     return CLIFFORD_AXIS_IMAGE[idx][axis]
 
 
-def clifford_index_of_matrix(m: np.ndarray) -> int:
-    """Table index of a single-qubit Clifford matrix, up to global phase."""
-    return _index_of_matrix(m)
-
-
 # ---------------------------------------------------------------------------
 # Pauli operators
 
@@ -172,15 +169,15 @@ class PauliOp:
             raise ValueError("support outside of qubit range")
         object.__setattr__(self, "phase", self.phase % 4)
 
-    @property
-    def support(self) -> int:
-        return self.x | self.z
-
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0 and self.phase == 0
 
     def __str__(self) -> str:
-        return pauli_to_string(self)
+        """Human-readable form like '+XZZI' or '-iYY'."""
+        y_count = (self.x & self.z).bit_count()
+        prefix = {0: "+", 1: "+i", 2: "-", 3: "-i"}[(self.phase - y_count) % 4]
+        return prefix + "".join("IXZY"[((self.x >> s) & 1) + 2 * ((self.z >> s) & 1)]
+                                for s in range(self.n))
 
 
 def identity_pauli(n: int) -> PauliOp:
@@ -198,14 +195,6 @@ def pauli_product(p: PauliOp, q: PauliOp) -> PauliOp:
 def commutes(p: PauliOp, q: PauliOp) -> bool:
     """Symplectic inner product is zero."""
     return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
-
-
-def pauli_to_string(p: PauliOp) -> str:
-    """Human-readable form like '+XZZI' or '-iYY'."""
-    y_count = (p.x & p.z).bit_count()
-    prefix = {0: "+", 1: "+i", 2: "-", 3: "-i"}[(p.phase - y_count) % 4]
-    letters = ["IXZY"[((p.x >> s) & 1) + 2 * ((p.z >> s) & 1)] for s in range(p.n)]
-    return prefix + "".join(letters)
 
 
 def stabilizer_generator(g: Graph, a: int) -> PauliOp:
@@ -262,9 +251,6 @@ class LocalClifford:
     @property
     def n(self) -> int:
         return len(self.indices)
-
-    def site(self, v: int) -> int:
-        return self.indices[v]
 
     def is_identity(self) -> bool:
         return all(i == CL_I for i in self.indices)

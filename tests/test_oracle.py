@@ -125,6 +125,27 @@ def test_reduced_rank_and_entropy_basic():
     assert abs(oracle.reduced_entropy(bell, [0]) - 1.0) < 1e-9
 
 
+def test_repeated_traced_vertices_count_once():
+    state = oracle.graph_state(from_edges(3, [(1, 2)]))
+    assert oracle.reduced_rank(state, [0, 0]) == oracle.reduced_rank(state, [0]) == 1
+    assert np.allclose(oracle.reduced_density(state, [0, 0]),
+                       oracle.reduced_density(state, [0]))
+
+
+@pytest.mark.parametrize("traced", [[7], [-1], 1 << 7, -1, [0, 3]])
+def test_traced_vertices_outside_the_state_are_rejected(traced):
+    state = oracle.graph_state(from_edges(3, [(1, 2)]))
+    with pytest.raises(IndexError):
+        oracle.reduced_rank_and_entropy(state, traced)
+    with pytest.raises(IndexError):
+        oracle.reduced_density(state, traced)
+
+
+def test_reduced_density_rejects_a_mask_beyond_the_state():
+    with pytest.raises(IndexError):
+        oracle.reduced_density(oracle.graph_state(from_edges(3, [(1, 2)])), 1 << 5)
+
+
 def test_reduced_rank_and_entropy_follow_the_cut_rank():
     rng = random.Random(35)
     for _ in range(20):

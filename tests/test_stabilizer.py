@@ -189,11 +189,43 @@ def test_conjugate_pauli_matches_matrices_multisite():
 
 
 def test_compose_matches_matrix_product():
-    rng = random.Random(14)
-    for _ in range(100):
-        i, j = rng.randrange(24), rng.randrange(24)
-        m = st.CLIFFORD_MATRICES[i] @ st.CLIFFORD_MATRICES[j]
-        assert st.clifford_index_of_matrix(m) == st.CLIFFORD_COMPOSE[i][j]
+    for i in range(24):
+        for j in range(24):
+            m = st.CLIFFORD_MATRICES[i] @ st.CLIFFORD_MATRICES[j]
+            assert st.clifford_index_of_matrix(m) == st.CLIFFORD_COMPOSE[i][j]
+
+
+def test_inverse_matches_conjugate_transpose():
+    for i in range(24):
+        m = st.CLIFFORD_MATRICES[i].conj().T
+        assert st.clifford_index_of_matrix(m) == st.CLIFFORD_INVERSE[i]
+
+
+def test_index_of_matrix_ignores_global_phase():
+    assert st.clifford_index_of_matrix(np.exp(0.3j) * st.CLIFFORD_MATRICES[5]) == 5
+
+
+@pytest.mark.parametrize("m", [
+    np.diag([1, np.exp(1j * np.pi / 4)]),  # T: unitary, not Clifford
+    2 * np.eye(2),                          # not unitary
+    np.zeros((2, 2)),
+    np.full((2, 2), np.nan),
+])
+def test_index_of_matrix_rejects_non_cliffords(m):
+    with pytest.raises(ValueError):
+        st.clifford_index_of_matrix(m.astype(complex))
+
+
+def test_table_order_is_pinned():
+    # the index order shows in measure's byproduct strings and in the
+    # Clifford that lc_equivalence_witness prints
+    assert st.CLIFFORD_NAMES == (
+        "I", "H", "S", "HS", "SH", "Z", "Qx-", "Qy-", "Qx+", "Qy+", "Sd", "HSHS",
+        "X", "HSSS", "SHSS", "SSHS", "HSHSS", "HSSHS", "SHSSH", "SHSSS", "SSHSS",
+        "HSHSSH", "HSHSSS", "Y")
+    assert st.CLIFFORD_BY_ACTION == {
+        (1, 0, 0, 1): 0, (0, 1, 1, 0): 1, (1, 0, 1, 1): 2, (1, 1, 1, 0): 3,
+        (0, 1, 1, 1): 4, (1, 1, 0, 1): 6}
 
 
 def test_local_complement_clifford_shape():
