@@ -44,11 +44,9 @@ from .stabilizer import (
 )
 from .measurement import (
     MeasurementOutcome,
-    apply_sequence,
     conjugate_basis,
     measure_pauli,
     measure_via_lc,
-    sequence_transcript,
 )
 from .entanglement import (
     BoundsReport,
@@ -76,8 +74,6 @@ from .oracle import (
     apply_projector,
     equal_up_to_global_phase,
     graph_state,
-    reduced_entropy,
-    reduced_rank,
     reduced_rank_and_entropy,
     verify_partial_trace_form,
 )

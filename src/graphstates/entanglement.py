@@ -105,7 +105,7 @@ def _splits(n: int, k: int):
 
 def schmidt_rank(g: Graph, subset) -> int:
     """GF(2) rank of the adjacency block between the subset and its complement."""
-    a_mask = as_mask(g, subset)
+    a_mask = as_mask(g.n, subset)
     _check_bipartition(g, a_mask)
     return _cross_rank(g, a_mask)
 
@@ -223,7 +223,7 @@ def max_rank_criterion(g: Graph, subset) -> bool:
     maxima must additionally add up to min(|A|, |B|) (isolated or lopsided
     components would otherwise leave rank on the table).
     """
-    a_mask = as_mask(g, subset)
+    a_mask = as_mask(g.n, subset)
     _check_bipartition(g, a_mask)
     b_mask = g.vertex_mask() & ~a_mask
     cross_rows = tuple(

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 CANONICAL_CAP = 10  # vertices before canonical_form gives up
@@ -115,15 +114,17 @@ def bits_of(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def as_mask(g: Graph, subset) -> int:
-    """Coerce an int mask or an iterable of vertex indices to a mask."""
+def as_mask(n: int, subset) -> int:
+    """Coerce an int mask or an iterable of vertex indices to a mask over
+    vertices 0..n-1; IndexError for a vertex outside them."""
     if isinstance(subset, int):
-        if subset & ~g.vertex_mask():
-            raise IndexError("vertex mask outside of graph")
+        if subset & ~((1 << n) - 1):
+            raise IndexError(f"vertex mask outside of range for n={n}")
         return subset
     m = 0
     for v in subset:
-        g._check_vertex(v)
+        if not 0 <= v < n:
+            raise IndexError(f"vertex {v} out of range for n={n}")
         m |= 1 << v
     return m
 
@@ -280,7 +281,7 @@ def delete_vertex(g: Graph, a: int) -> Graph:
 
 def induced_subgraph(g: Graph, subset) -> Graph:
     """Keep only the vertices in subset (order preserved) and edges inside it."""
-    mask = as_mask(g, subset)
+    mask = as_mask(g.n, subset)
     keep = list(bits_of(mask))
     pos = {v: i for i, v in enumerate(keep)}
     rows = []
@@ -312,8 +313,8 @@ def sym_diff_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def edges_between(g: Graph, a_set, b_set) -> list[tuple[int, int]]:
     """Edges of g with one endpoint in each set (sets may overlap)."""
-    am = as_mask(g, a_set)
-    bm = as_mask(g, b_set)
+    am = as_mask(g.n, a_set)
+    bm = as_mask(g.n, b_set)
     out = set()
     for u in bits_of(am):
         for v in bits_of(g.rows[u] & bm & ~(1 << u)):
@@ -470,7 +471,7 @@ def is_vertex_cover(g: Graph, subset) -> bool:
     subset is an int mask or an iterable of vertex indices, coerced as by
     as_mask.  An edgeless graph is covered by the empty set.
     """
-    mask = as_mask(g, subset)
+    mask = as_mask(g.n, subset)
     # an edge is uncovered iff both ends lie outside the mask
     return all(not g.rows[a] & ~mask for a in range(g.n) if not mask >> a & 1)
 
@@ -478,8 +479,14 @@ def is_vertex_cover(g: Graph, subset) -> bool:
 # ---------------------------------------------------------------------------
 # canonical forms and isomorphism
 
-@lru_cache(maxsize=1 << 17)
-def _canonical_cached(g: Graph) -> tuple[Graph, tuple[int, ...]]:
+def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
+    """Lexicographically minimal relabeling of g plus a witnessing permutation.
+
+    Minimality is over the upper-triangle adjacency bit-string read column by
+    column; the witness maps canonical position i to original vertex perm[i].
+    """
+    if g.n > CANONICAL_CAP:
+        raise CapExceeded(f"canonical_form capped at n<={CANONICAL_CAP}, got n={g.n}")
     # Depth-first search over vertex orders.  Column k of the candidate is the
     # adjacency of the k-th placed vertex to those placed before it; only the
     # vertices with the minimal next column can lead to the minimum, so only
@@ -517,17 +524,6 @@ def _canonical_cached(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     search(dict.fromkeys(range(g.n), 0))
     perm = tuple(best_order)
     return relabel(g, perm), perm
-
-
-def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
-    """Lexicographically minimal relabeling of g plus a witnessing permutation.
-
-    Minimality is over the upper-triangle adjacency bit-string read column by
-    column; the witness maps canonical position i to original vertex perm[i].
-    """
-    if g.n > CANONICAL_CAP:
-        raise CapExceeded(f"canonical_form capped at n<={CANONICAL_CAP}, got n={g.n}")
-    return _canonical_cached(g)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

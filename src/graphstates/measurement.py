@@ -85,10 +85,12 @@ def _shift_down(assignments: dict[int, int], removed: int) -> dict[int, int]:
             if v != removed}
 
 
-def _default_b0(g: Graph, a: int, b0: int | None) -> int:
+def _default_b0(g: Graph, a: int, b0: int | None) -> int | None:
+    """b0 checked to be a neighbor of a, or a's least neighbor when b0 is
+    None (None when a is isolated)."""
     nb = g.rows[a]
     if b0 is None:
-        return next(bits_of(nb))
+        return next(bits_of(nb), None)
     g._check_vertex(b0)
     if not (nb >> b0) & 1:
         raise ValueError(f"b0={b0} is not a neighbor of {a}")
@@ -100,17 +102,18 @@ def measure_pauli(g: Graph, a: int, basis: str, b0: int | None = None) -> Measur
 
     For basis x at a non-isolated vertex a special neighbor b0 is required
     (default: the minimum-index neighbor); any choice gives locally
-    equivalent results.
+    equivalent results.  A given b0 must be a neighbor of a, at an isolated
+    vertex too.
     """
     _check_basis(basis)
     g._check_vertex(a)
     nb = g.rows[a]
 
-    if basis == "x" and nb == 0:
+    chosen = _default_b0(g, a, b0) if basis == "x" else None
+    if basis == "x" and chosen is None:
         ident = identity_clifford(g.n)
         return MeasurementOutcome(g, ident, ident, Fraction(1), None)
 
-    chosen = None
     if basis == "z":
         after_full = g
         plus: dict[int, int] = {}
@@ -120,7 +123,6 @@ def measure_pauli(g: Graph, a: int, basis: str, b0: int | None = None) -> Measur
         plus = {b: CL_SQRT_MIZ for b in bits_of(nb)}
         minus = {b: CL_SQRT_IZ for b in bits_of(nb)}
     else:
-        chosen = _default_b0(g, a, b0)
         nb0 = g.rows[chosen]
         pairs = _pairs_between(nb0, nb)
         pairs ^= _pairs_within(nb0 & nb)
@@ -148,9 +150,9 @@ def measure_via_lc(g: Graph, a: int, basis: str, b0: int | None = None) -> Graph
         return delete_vertex(g, a)
     if basis == "y":
         return delete_vertex(local_complement(g, a), a)
-    if g.rows[a] == 0:
-        return g
     chosen = _default_b0(g, a, b0)
+    if chosen is None:
+        return g
     h = local_complement(g, chosen)
     h = delete_vertex(local_complement(h, a), a)
     b0_new = chosen - 1 if chosen > a else chosen
@@ -221,13 +223,3 @@ def run_sequence(g: Graph, steps, rng=None) -> tuple[list[dict], Graph, LocalCli
             "byproduct": str(LocalClifford(tuple(byp))),
         })
     return transcript, current, LocalClifford(tuple(byp)), prob
-
-
-def apply_sequence(g: Graph, steps) -> tuple[Graph, LocalClifford, Fraction]:
-    """The final graph, byproduct and probability of run_sequence."""
-    return run_sequence(g, steps)[1:]
-
-
-def sequence_transcript(g: Graph, steps) -> list[dict]:
-    """One JSON-ready record per step."""
-    return run_sequence(g, steps)[0]

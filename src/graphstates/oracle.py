@@ -149,25 +149,10 @@ def insert_qubit(state: np.ndarray, site: int, vec2: np.ndarray) -> np.ndarray:
     return (t * np.asarray(vec2, dtype=complex).reshape(1, 2, 1)).reshape(-1)
 
 
-def _traced_mask(traced, n: int) -> int:
-    """Coerce an int mask or an iterable of qubits to a mask; IndexError for
-    a qubit outside 0..n-1."""
-    if isinstance(traced, int):
-        if traced & ~((1 << n) - 1):
-            raise IndexError("qubit mask outside of state")
-        return traced
-    mask = 0
-    for v in traced:
-        if not 0 <= v < n:
-            raise IndexError(v)
-        mask |= 1 << v
-    return mask
-
-
 def reduced_density(state: np.ndarray, traced) -> np.ndarray:
     """Density operator of the complement of the traced qubit set."""
     n = _n_qubits(state)
-    mask = _traced_mask(traced, n)
+    mask = as_mask(n, traced)
     order = list(bits_of(mask)) + [v for v in range(n) if not (mask >> v) & 1]
     t = np.transpose(state.reshape((2,) * n), order).reshape(1 << mask.bit_count(), -1)
     return t.T @ t.conj()
@@ -186,22 +171,12 @@ def _small_side_spectrum(state: np.ndarray, traced_mask: int) -> np.ndarray:
 def reduced_rank_and_entropy(state: np.ndarray, traced) -> tuple[int, float]:
     """Rank, and entropy in bits, of the density operator left after tracing
     out the given qubits, both from one diagonalization."""
-    mask = _traced_mask(traced, _n_qubits(state))
+    mask = as_mask(_n_qubits(state), traced)
     if mask == 0:
         return (1 if np.linalg.norm(state) > RANK_TOL else 0), 0.0
     evals = _small_side_spectrum(state, mask)
     nonzero = evals[evals > 1e-14]
     return int((evals > RANK_TOL).sum()), float(-(nonzero * np.log2(nonzero)).sum())
-
-
-def reduced_rank(state: np.ndarray, traced) -> int:
-    """Rank of the density operator left after tracing out the given qubits."""
-    return reduced_rank_and_entropy(state, traced)[0]
-
-
-def reduced_entropy(state: np.ndarray, traced) -> float:
-    """Entropy in bits of the state reduced over the given qubits."""
-    return reduced_rank_and_entropy(state, traced)[1]
 
 
 def verify_partial_trace_form(g: Graph, traced, state: np.ndarray | None = None) -> bool:
@@ -212,7 +187,7 @@ def verify_partial_trace_form(g: Graph, traced, state: np.ndarray | None = None)
     from the reduced graph's own state."""
     if g.n > TRACE_FORM_CAP:
         raise CapExceeded(f"partial-trace check capped at n<={TRACE_FORM_CAP}")
-    a_mask = as_mask(g, traced)
+    a_mask = as_mask(g.n, traced)
     if state is None:
         state = graph_state(g)
     direct = reduced_density(state, a_mask)

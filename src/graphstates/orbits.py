@@ -18,10 +18,13 @@ The classifier lists the classes of connected graphs under local
 complementation plus isomorphism up to a vertex cap, level by level: every
 class on n vertices holds a one-vertex extension of a class representative
 on n - 1 vertices (see _lc_classes), and a walk over canonical forms of
-local complements from each new extension lists its members.  The cheap
-invariants (maximal Schmidt rank, rank indices, cover size,
-2-colorability) are computed per member; the persistency search, whose
-answer is LC-invariant, runs once per class on its representative.
+local complements from each new extension lists its members.  The walk
+skips the complements that cannot give a new member: at a vertex of degree
+at most 1 (the graph itself) and at a twin of a vertex already complemented
+(an isomorphic image).  The cheap invariants (maximal Schmidt rank, rank
+indices, cover size, 2-colorability) are computed per member; the
+persistency search, whose answer is LC-invariant, runs once per class on
+its representative.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import json
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .entanglement import _bounds_parts, lower_bound_max_rank, rank_index
+from .entanglement import lower_bound_max_rank, pauli_persistency, rank_index
 from .gf2 import gf2_kernel_basis
 from .graphs import (
     CapExceeded,
@@ -287,6 +290,15 @@ def _lc_classes(n_max: int) -> list[list[Graph]]:
     nonempty neighbourhood therefore meets every class; a walk over the
     canonical forms of local complements from each unseen candidate lists
     its class.  A class's first member represents it at the next level.
+
+    Local complementation generates the orbit (Van den Nest, Dehaene & De
+    Moor, PRA 69, 022316, 2004), but two kinds of complement add nothing:
+    at a vertex of degree at most 1 it returns the member itself, and at a
+    twin of a vertex already complemented from the same member it gives an
+    isomorphic image, since swapping the twins is an automorphism of the
+    member.  The walk skips both, so each canonical form it computes is of
+    a complement that may be new; the classes and their order are those of
+    the walk over all n complements.
     """
     classes: list[list[Graph]] = []
     reps = [Graph(1, (0,))]
@@ -301,7 +313,15 @@ def _lc_classes(n_max: int) -> list[list[Graph]]:
                 seen.add(start)
                 members = [start]
                 for g in members:
-                    for a in range(n):
+                    rows = g.rows
+                    tried: list[int] = []
+                    for a, r in enumerate(rows):
+                        # degree <= 1 gives g back, a twin of a tried vertex
+                        # an isomorphic image: both are in seen already
+                        if r & (r - 1) == 0 or any(
+                                not (rows[u] ^ r) & ~(1 << u | 1 << a) for u in tried):
+                            continue
+                        tried.append(a)
                         image = canonical_form(local_complement(g, a))[0]
                         if image not in seen:
                             seen.add(image)
@@ -312,17 +332,15 @@ def _lc_classes(n_max: int) -> list[list[Graph]]:
     return classes
 
 
-def _member_stats(g: Graph) -> MemberStats:
-    """The per-member values; upper is the cover size until the class's
-    persistency replaces it."""
-    cover = min_vertex_cover(g).bit_count()
+def _member_stats(g: Graph, upper: int) -> MemberStats:
+    """The per-member values; upper is the persistency of g's class."""
     return MemberStats(
         graph6=to_graph6(g),
         n=g.n,
         edges=g.edge_count,
         lower=lower_bound_max_rank(g),
-        upper=cover,
-        cover=cover,
+        upper=upper,
+        cover=min_vertex_cover(g).bit_count(),
         two_colorable=two_coloring(g) is not None,
         ri_2=rank_index(g, 2).counts if g.n >= 4 else None,
         ri_3=rank_index(g, 3).counts if g.n >= 6 else None,
@@ -344,7 +362,8 @@ def classify_full(n_max: int) -> tuple[list[ClassRecord], dict[str, MemberStats]
     records = []
     for members in _lc_classes(n_max):
         members.sort(key=lambda g: (g.edge_count, to_graph6(g)))
-        ms = [_member_stats(g) for g in members]
+        upper = pauli_persistency(members[0])
+        ms = [_member_stats(g, upper) for g in members]
         lowers = {s.lower for s in ms}
         if len(lowers) != 1:
             raise AssertionError("lower bound must be constant on a class")
@@ -353,8 +372,7 @@ def classify_full(n_max: int) -> tuple[list[ClassRecord], dict[str, MemberStats]
             if len(vals) != 1:
                 raise AssertionError(f"{field} must be constant on a class")
         rep = ms[0]
-        upper = _bounds_parts(members[0], None)[1]
-        member_map.update((s.graph6, replace(s, upper=upper)) for s in ms)
+        member_map.update((s.graph6, s) for s in ms)
         records.append(ClassRecord(
             class_id=0,  # numbered after the sort
             representative=rep.graph6,

@@ -205,7 +205,7 @@ def stabilizer_generator(g: Graph, a: int) -> PauliOp:
 
 def stabilizer_element(g: Graph, subset) -> PauliOp:
     """Ordered product of generators over the subset, ascending vertex index."""
-    mask = as_mask(g, subset)
+    mask = as_mask(g.n, subset)
     out = identity_pauli(g.n)
     for a in bits_of(mask):
         out = pauli_product(out, stabilizer_generator(g, a))
@@ -219,7 +219,7 @@ def exact_support_count(g: Graph, subset) -> int:
     X-support of the product is S itself), so the enumeration is over
     submasks of the subset.
     """
-    a_mask = as_mask(g, subset)
+    a_mask = as_mask(g.n, subset)
     if g.n > SUPPORT_CAP:
         raise CapExceeded(f"support enumeration capped at n<={SUPPORT_CAP}, got n={g.n}")
     count = 0

@@ -130,7 +130,7 @@ def test_criterion_01_corroborations(classification7, connected_classes,
     state = oracle.graph_state(rep11)
     counts = Counter()
     for combo in itertools.combinations(range(6), 2):
-        r = oracle.reduced_rank(state, list(combo))
+        r = oracle.reduced_rank_and_entropy(state, list(combo))[0]
         counts[int(round(np.log2(r)))] += 1
     assert (counts[2], counts[1]) == (9, 6) == records[10].ri_2
     # classes 16/17 cannot contain a 2-colorable member: no bipartite graph
@@ -183,10 +183,11 @@ def test_criterion_03_bipartite_rank_rule(sample_graphs):
                 continue
             r = schmidt_rank(g, a_mask)
             traced = [v for v in range(g.n) if (a_mask >> v) & 1]
-            assert oracle.reduced_rank(state, traced) == 1 << r
-            assert abs(oracle.reduced_entropy(state, traced) - r) <= ENTROPY_TOL
-            assert oracle.verify_partial_trace_form(g, a_mask)
-            assert oracle.verify_partial_trace_form(g, full ^ a_mask)
+            rank, entropy = oracle.reduced_rank_and_entropy(state, traced)
+            assert rank == 1 << r
+            assert abs(entropy - r) <= ENTROPY_TOL
+            assert oracle.verify_partial_trace_form(g, a_mask, state=state)
+            assert oracle.verify_partial_trace_form(g, full ^ a_mask, state=state)
     _report(3, "bipartite rank and partial-trace form (every bipartition)")
 
 

@@ -417,4 +417,4 @@ def test_rank_matches_reduced_density_rank():
         state = oracle.graph_state(g)
         m = rng.randrange(1, g.vertex_mask())
         traced = [v for v in range(g.n) if (m >> v) & 1]
-        assert oracle.reduced_rank(state, traced) == 1 << schmidt_rank(g, m)
+        assert oracle.reduced_rank_and_entropy(state, traced)[0] == 1 << schmidt_rank(g, m)

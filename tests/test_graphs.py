@@ -89,10 +89,10 @@ def test_edges_between():
     c6 = cycle_graph(6)
     all_edges = edges_between(c6, c6.vertex_mask(), c6.vertex_mask())
     assert sorted(all_edges) == sorted(c6.edges())
-    a = as_mask(c6, [0, 1, 4])
+    a = as_mask(c6.n, [0, 1, 4])
     b = c6.vertex_mask() & ~a
     assert edges_between(c6, a, b) == [(0, 5), (1, 2), (3, 4), (4, 5)]
-    assert edges_between(c6, as_mask(c6, [0]), as_mask(c6, [3])) == []
+    assert edges_between(c6, as_mask(c6.n, [0]), as_mask(c6.n, [3])) == []
 
 
 def test_local_complement_star_is_complete():

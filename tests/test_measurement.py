@@ -19,10 +19,9 @@ from graphstates.graphs import (
 )
 from graphstates.measurement import (
     ZeroProbabilityOutcome,
-    apply_sequence,
     measure_pauli,
     measure_via_lc,
-    sequence_transcript,
+    run_sequence,
 )
 from graphstates.orbits import lc_equivalent
 
@@ -72,6 +71,15 @@ def test_invalid_b0_rejected():
         measure_pauli(path_graph(4), 0, "w")
 
 
+@pytest.mark.parametrize("rule", [measure_pauli, measure_via_lc])
+def test_b0_is_checked_at_an_isolated_vertex(rule):
+    g = from_edges(2, [])
+    with pytest.raises(IndexError):
+        rule(g, 0, "x", b0=99)
+    with pytest.raises(ValueError):
+        rule(g, 0, "x", b0=1)
+
+
 def test_via_lc_matches_rule_exhaustively(connected_classes):
     for n, classes in connected_classes.items():
         for g in classes:
@@ -119,21 +127,21 @@ def test_y_can_break_two_colorability():
 
 def test_empty_sequence():
     g = cycle_graph(4)
-    final, byp, prob = apply_sequence(g, [])
+    final, byp, prob = run_sequence(g, [])[1:]
     assert final.rows == g.rows and byp.is_identity() and prob == 1
 
 
 def test_cover_sequence_disentangles():
     g = cycle_graph(6)
     steps = [(0, "z", 1), (2, "z", -1), (4, "z", 1)]
-    final, _, prob = apply_sequence(g, steps)
+    final, _, prob = run_sequence(g, steps)[1:]
     assert final.edge_count == 0
     assert prob == Fraction(1, 8)
 
 
 def test_sequence_rejects_repeats():
     with pytest.raises(ValueError):
-        apply_sequence(path_graph(3), [(0, "z", 1), (0, "z", 1)])
+        run_sequence(path_graph(3), [(0, "z", 1), (0, "z", 1)])
 
 
 def test_threading_turns_z_into_x_after_x():
@@ -141,7 +149,7 @@ def test_threading_turns_z_into_x_after_x():
     # later z there acts like an x on the rewritten graph
     p4 = path_graph(4)
     first = measure_pauli(p4, 0, "x")  # b0 = 1
-    threaded, _, _ = apply_sequence(p4, [(0, "x", 1), (1, "z", 1)])
+    threaded, _, _ = run_sequence(p4, [(0, "x", 1), (1, "z", 1)])[1:]
     manual = measure_via_lc(first.graph_after, 0, "x")  # old vertex 1 is now 0
     assert threaded.rows == manual.rows
 
@@ -155,7 +163,7 @@ def test_sequence_matches_dense_projections():
         verts = rng.sample(range(n), rng.randrange(1, n))
         steps = [(v, rng.choice("xyz"), rng.choice((1, -1))) for v in verts]
         try:
-            final, byp, p = apply_sequence(g, steps)
+            final, byp, p = run_sequence(g, steps)[1:]
         except ZeroProbabilityOutcome:
             continue
         if final.n != n - len(verts):
@@ -176,11 +184,11 @@ def test_sequence_matches_dense_projections():
 def test_zero_probability_outcome_raises():
     g = from_edges(1, [])
     with pytest.raises(ZeroProbabilityOutcome):
-        apply_sequence(g, [(0, "x", -1)])
+        run_sequence(g, [(0, "x", -1)])
 
 
 def test_transcript_fields():
-    rec = sequence_transcript(star_graph(4), [(0, "z", -1)])
+    rec = run_sequence(star_graph(4), [(0, "z", -1)])[0]
     assert rec == [{
         "vertex": 0,
         "basis": "z",

@@ -118,16 +118,19 @@ def test_local_complement_unitary_matches_graph_rule():
 
 def test_reduced_rank_and_entropy_basic():
     product = oracle.graph_state(empty_graph(3))
-    assert oracle.reduced_rank(product, [0]) == 1
-    assert abs(oracle.reduced_entropy(product, [0])) < 1e-9
+    rank, entropy = oracle.reduced_rank_and_entropy(product, [0])
+    assert rank == 1
+    assert abs(entropy) < 1e-9
     bell = oracle.graph_state(from_edges(2, [(0, 1)]))
-    assert oracle.reduced_rank(bell, [0]) == 2
-    assert abs(oracle.reduced_entropy(bell, [0]) - 1.0) < 1e-9
+    rank, entropy = oracle.reduced_rank_and_entropy(bell, [0])
+    assert rank == 2
+    assert abs(entropy - 1.0) < 1e-9
 
 
 def test_repeated_traced_vertices_count_once():
     state = oracle.graph_state(from_edges(3, [(1, 2)]))
-    assert oracle.reduced_rank(state, [0, 0]) == oracle.reduced_rank(state, [0]) == 1
+    assert (oracle.reduced_rank_and_entropy(state, [0, 0])[0]
+            == oracle.reduced_rank_and_entropy(state, [0])[0] == 1)
     assert np.allclose(oracle.reduced_density(state, [0, 0]),
                        oracle.reduced_density(state, [0]))
 

@@ -321,6 +321,52 @@ def test_classes_are_closed_under_local_complementation():
             assert class_of[canonical_form(local_complement(g, a))[0]] == i
 
 
+def _untrimmed_lc_classes(n_max):
+    """The class walk of orbits._lc_classes with no vertex skipped: every
+    member is complemented at all n vertices."""
+    classes = []
+    reps = [from_edges(1, [])]
+    for n in range(2, n_max + 1):
+        seen = set()
+        level = []
+        for rep in reps:
+            for s in range(1, 1 << (n - 1)):
+                edges = rep.edges() + [(v, n - 1) for v in range(n - 1) if s >> v & 1]
+                start = canonical_form(from_edges(n, edges))[0]
+                if start in seen:
+                    continue
+                seen.add(start)
+                members = [start]
+                for g in members:
+                    for a in range(n):
+                        image = canonical_form(local_complement(g, a))[0]
+                        if image not in seen:
+                            seen.add(image)
+                            members.append(image)
+                level.append(members)
+        classes.extend(level)
+        reps = [members[0] for members in level]
+    return classes
+
+
+def test_trimmed_walk_lists_the_untrimmed_walks_classes_in_order():
+    # the classes of every n <= 7, members in walk order
+    assert orbits._lc_classes(7) == _untrimmed_lc_classes(7)
+
+
+def test_walk_skips_degree_one_vertices_and_twins(monkeypatch):
+    calls = 0
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return canonical_form(g)
+
+    monkeypatch.setattr(orbits, "canonical_form", counting)
+    orbits._lc_classes(6)
+    assert calls == 679  # 974 when every vertex of every member is complemented
+
+
 def test_class_upper_is_every_members_persistency(classification7):
     records, members = classification7
     upper_of = {r.representative: r.upper for r in records}
