@@ -9,21 +9,35 @@ minimum vertex cover size.  All ranks are base-2 logarithms, i.e. plain
 GF(2) ranks.
 
 Every scan over bipartitions walks unordered splits by the size k of the
-smaller side (_splits).  The maximum is scanned from k = floor(n/2) down:
-a split with smaller side k has rank at most k, so a class stops as soon as
-one split reaches k, and the scan stops at the first k that is no more than
-the best rank found, since no smaller class can beat it.
+smaller side (_splits).  The maximum is scanned from k = min(floor(n/2), c)
+down, where c is the minimum vertex cover size: every cross edge has an end
+in the cover, so no cut rank exceeds c, and the r cross rows that give a
+split rank r give a split with smaller side r that reaches it.  A split with
+smaller side k has rank at most k, so a class stops as soon as one split
+reaches k, and the scan stops at the first k that is no more than the best
+rank found, since no smaller class can beat it.  A star thus ends at its
+first split.
 
 The search branches on one vertex of each set of twins (vertices whose
 neighbourhoods agree outside the pair).  Swapping twins is an automorphism,
 so measuring either twin in the same basis gives isomorphic graphs; for x the
 two default special neighbours may differ, but any choice gives a locally
 equivalent graph.  Persistency is invariant under both, so the pruning is
-exact.  The search's only bound is its node cap: it gives up with
-CapExceeded once its memo holds more than SEARCH_NODE_CAP nodes, whatever n
-is.  Every benchmark and classification input stays below 1,100 nodes, odd
-rings up to C13 finish in seconds, and gap graphs at n = 12 that would
-otherwise run for minutes stop in a few seconds.
+exact.
+
+Nodes with a budget of one measurement are settled without branching.  One
+that gets that far is not a star (its greedy cover exceeds 1) and has one
+component with edges.  A graph that one measurement empties has every cut
+rank at most 1, so that component is in the GHZ class, whose connected
+local-complementation orbit holds only the stars and the complete graph.
+So the node succeeds exactly when its edged vertices form a clique, which y
+at any of them empties.
+
+The search's only bound is its node cap: it gives up with CapExceeded once
+its memo holds more than SEARCH_NODE_CAP nodes, whatever n is.  Every
+benchmark and classification input stays below 1,100 nodes, odd rings up to
+C13 finish in seconds, and gap graphs at n = 12 that would otherwise run for
+minutes stop in about a second (KVp`qtKGUrkO: 0.8-1.4 s on a 2-vCPU Xeon).
 """
 
 from __future__ import annotations
@@ -129,7 +143,7 @@ def lower_bound_max_rank(g: Graph) -> int:
     if g.n > SCAN_CAP:
         raise CapExceeded(f"bipartition scan capped at n<={SCAN_CAP}, got n={g.n}")
     best = 0
-    for k in range(g.n // 2, 0, -1):
+    for k in range(min(g.n // 2, min_vertex_cover(g).bit_count()), 0, -1):
         if k <= best:
             break  # no split with smaller side k can beat best
         for a_mask in _splits(g.n, k):
@@ -161,19 +175,25 @@ def _can_disentangle(g: Graph, budget: int, memo: dict) -> bool:
     if _components_with_edges(g) > budget:
         return False
     result = False
-    tried: list[int] = []
-    for v in range(g.n):
-        r = rows[v]
-        # a twin of a vertex already tried gives isomorphic children
-        if r == 0 or any(not (rows[u] ^ r) & ~(1 << u | 1 << v) for u in tried):
-            continue
-        tried.append(v)
-        for basis in ("z", "y", "x"):
-            if _can_disentangle(measure_via_lc(g, v, basis), budget - 1, memo):
+    if budget == 1:
+        # one edged component that is not a star: only a clique is one
+        # measurement (y at any of its vertices) from empty
+        edged = 0
+        for r in rows:
+            edged |= r
+        result = all(r == 0 or r | 1 << v == edged for v, r in enumerate(rows))
+    else:
+        tried: list[int] = []
+        for v in range(g.n):
+            r = rows[v]
+            # a twin of a vertex already tried gives isomorphic children
+            if r == 0 or any(not (rows[u] ^ r) & ~(1 << u | 1 << v) for u in tried):
+                continue
+            tried.append(v)
+            if any(_can_disentangle(measure_via_lc(g, v, basis), budget - 1, memo)
+                   for basis in ("z", "y", "x")):
                 result = True
                 break
-        if result:
-            break
     memo[key] = result
     if len(memo) > SEARCH_NODE_CAP:
         raise CapExceeded(
@@ -202,8 +222,10 @@ def pauli_persistency(g: Graph, depth_limit: int | None = None) -> int:
     graph state (graph rules, minimum-index special neighbor for x).
 
     When the lower bound already meets the minimum vertex cover size no search
-    is needed.  Otherwise the node cap is the search's only bound: it raises
-    CapExceeded after SEARCH_NODE_CAP memo entries, at any n.
+    is needed.  Otherwise the search settles nodes with one measurement left
+    in closed form (one succeeds exactly when its edges form a star or a
+    clique), and the node cap is its only bound: it raises CapExceeded after
+    SEARCH_NODE_CAP memo entries, at any n.
     """
     return _bounds_parts(g, depth_limit)[1]
 

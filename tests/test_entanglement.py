@@ -190,6 +190,20 @@ def test_lower_bound_matches_mask_order_scan_on_random_graphs():
             assert rank_index(g, k).counts == _reference_rank_index(g, k)
 
 
+def test_lower_bound_scan_starts_at_the_cover(monkeypatch):
+    # no cut rank exceeds a vertex cover: the star's scan ends at its first split
+    calls = []
+    real = entanglement._cross_rank
+
+    def counting(g, a_mask):
+        calls.append(a_mask)
+        return real(g, a_mask)
+
+    monkeypatch.setattr(entanglement, "_cross_rank", counting)
+    assert lower_bound_max_rank(star_graph(20)) == 1
+    assert calls == [1]
+
+
 def test_lower_bound_scan_cap():
     with pytest.raises(CapExceeded):
         lower_bound_max_rank(path_graph(SCAN_CAP + 1))
@@ -261,6 +275,25 @@ def _reference_can_disentangle(g, budget, memo):
     return memo[key]
 
 
+def _disjoint_union(g, h):
+    return from_edges(g.n + h.n, g.edges() + [(a + g.n, b + g.n) for a, b in h.edges()])
+
+
+def test_budget_one_nodes_match_the_reference(connected_classes):
+    rng = random.Random(35)
+    graphs = [g for n in range(6) for g in _labelled_graphs(n)]
+    for n in range(2, 8):
+        graphs += [relabel(g, rng.sample(range(n), n)) for g in connected_classes[n]]
+    small = [g for n in range(2, 5) for g in connected_classes[n]]
+    graphs += [_disjoint_union(g, h) for g in small for h in small]
+    graphs += [complete_graph(n) for n in range(3, 8)] + [star_graph(n) for n in range(2, 8)]
+    near_misses = [toggle_edge(star_graph(n), 1, 2) for n in range(4, 8)]
+    for g in near_misses:
+        assert not entanglement._can_disentangle(g, 1, {})
+    for g in graphs + near_misses:
+        assert entanglement._can_disentangle(g, 1, {}) == _reference_can_disentangle(g, 1, {}), g.rows
+
+
 def _reference_persistency(g):
     cover = min_vertex_cover(g).bit_count()
     memo = {}
@@ -283,7 +316,7 @@ def _twins(rows, u, v):
 def test_search_branches_on_one_vertex_of_each_twin_set(monkeypatch, connected_classes):
     rng = random.Random(32)
     gaps = []
-    for n in range(4, 7):
+    for n in range(4, 8):
         for g in connected_classes[n]:
             g = relabel(g, rng.sample(range(n), n))
             p = pauli_persistency(g)
