@@ -62,7 +62,6 @@ from .entanglement import (
 from .orbits import (
     ClassRecord,
     classify,
-    classify_full,
     lc_closure_with_relabelings,
     lc_equivalence_witness,
     lc_equivalent,

@@ -48,6 +48,7 @@ from .gf2 import gf2_rank_of_rows
 from .graphs import (
     CapExceeded,
     Graph,
+    _graph,
     as_mask,
     bits_of,
     connected_components,
@@ -251,7 +252,7 @@ def max_rank_criterion(g: Graph, subset) -> bool:
     cross_rows = tuple(
         (g.rows[v] & b_mask) if (a_mask >> v) & 1 else (g.rows[v] & a_mask)
         for v in range(g.n))
-    cross = Graph(g.n, cross_rows)
+    cross = _graph(g.n, cross_rows)
     rank_sum = 0
     for comp in connected_components(cross):
         verts = list(bits_of(comp))

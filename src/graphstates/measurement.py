@@ -2,7 +2,8 @@
 
 Measuring x, y, or z at a vertex maps a graph state to another graph state up
 to a local Clifford byproduct on the remaining vertices.  Both outcomes give
-the same rewritten graph; only the byproduct differs.  For measurement
+the same rewritten graph, built from local complementations and one vertex
+deletion (measure_via_lc); only the byproduct differs.  For measurement
 sequences the accumulated byproduct re-interprets each requested basis before
 the graph rule is applied.
 """
@@ -11,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .graphs import Graph, _graph, bits_of, delete_vertex, local_complement, to_graph6
+from .graphs import Graph, bits_of, delete_vertex, local_complement, to_graph6
 from .stabilizer import (
     CL_I,
     CL_SQRT_IY,
@@ -59,27 +59,6 @@ def _check_basis(basis: str) -> None:
         raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
 
 
-def _pairs_between(a_mask: int, b_mask: int) -> set[tuple[int, int]]:
-    """All unordered vertex pairs with one end in each mask (masks may overlap)."""
-    pairs = set()
-    for u in bits_of(a_mask):
-        for v in bits_of(b_mask & ~(1 << u)):
-            pairs.add((min(u, v), max(u, v)))
-    return pairs
-
-
-def _pairs_within(mask: int) -> set[tuple[int, int]]:
-    return set(combinations(list(bits_of(mask)), 2))
-
-
-def _toggle_pairs(g: Graph, pairs) -> Graph:
-    rows = list(g.rows)
-    for u, v in pairs:
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
-    return _graph(g.n, tuple(rows))
-
-
 def _shift_down(assignments: dict[int, int], removed: int) -> dict[int, int]:
     return {(v - 1 if v > removed else v): c for v, c in assignments.items()
             if v != removed}
@@ -115,25 +94,19 @@ def measure_pauli(g: Graph, a: int, basis: str, b0: int | None = None) -> Measur
         return MeasurementOutcome(g, ident, ident, Fraction(1), None)
 
     if basis == "z":
-        after_full = g
         plus: dict[int, int] = {}
         minus = {b: CL_Z for b in bits_of(nb)}
     elif basis == "y":
-        after_full = _toggle_pairs(g, _pairs_within(nb))
         plus = {b: CL_SQRT_MIZ for b in bits_of(nb)}
         minus = {b: CL_SQRT_IZ for b in bits_of(nb)}
     else:
         nb0 = g.rows[chosen]
-        pairs = _pairs_between(nb0, nb)
-        pairs ^= _pairs_within(nb0 & nb)
-        pairs ^= _pairs_between(1 << chosen, nb & ~(1 << chosen))
-        after_full = _toggle_pairs(g, pairs)
         plus = {b: CL_Z for b in bits_of(nb & ~nb0 & ~(1 << chosen))}
         plus[chosen] = CL_SQRT_IY
         minus = {b: CL_Z for b in bits_of(nb0 & ~nb & ~(1 << a))}
         minus[chosen] = CL_SQRT_MIY
 
-    after = delete_vertex(after_full, a)
+    after = measure_via_lc(g, a, basis, chosen)
     n_out = after.n
     bp_plus = embed_clifford(n_out, _shift_down(plus, a))
     bp_minus = embed_clifford(n_out, _shift_down(minus, a))
@@ -141,7 +114,7 @@ def measure_pauli(g: Graph, a: int, basis: str, b0: int | None = None) -> Measur
 
 
 def measure_via_lc(g: Graph, a: int, basis: str, b0: int | None = None) -> Graph:
-    """Same rewritten graph as measure_pauli, built from local complementations:
+    """The rewritten graph of measure_pauli, built from local complementations:
     z deletes, y complements then deletes, x conjugates by a complementation
     at b0 on both sides of a y-style step."""
     _check_basis(basis)

@@ -21,10 +21,10 @@ on n - 1 vertices (see _lc_classes), and a walk over canonical forms of
 local complements from each new extension lists its members.  The walk
 skips the complements that cannot give a new member: at a vertex of degree
 at most 1 (the graph itself) and at a twin of a vertex already complemented
-(an isomorphic image).  The cheap invariants (maximal Schmidt rank, rank
-indices, cover size, 2-colorability) are computed per member; the
-persistency search, whose answer is LC-invariant, runs once per class on
-its representative.
+(an isomorphic image).  Each class record is built straight from its
+members: the cheap invariants (maximal Schmidt rank, rank indices,
+2-colorability) are computed per member; the persistency search, whose
+answer is LC-invariant, runs once per class on its representative.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .graphs import (
     connected_components,
     induced_subgraph,
     local_complement,
-    min_vertex_cover,
     parse_graph6,
     to_graph6,
     two_coloring,
@@ -244,25 +243,6 @@ def lc_equivalent(g: Graph, h: Graph) -> bool:
 # classification
 
 @dataclass(frozen=True)
-class MemberStats:
-    """Per-isomorphism-class data feeding a ClassRecord.
-
-    upper is the Pauli persistency of the member's LC class, found by one
-    search on the class representative; persistency is LC-invariant.
-    """
-
-    graph6: str
-    n: int
-    edges: int
-    lower: int
-    upper: int
-    cover: int
-    two_colorable: bool
-    ri_2: tuple[int, ...] | None
-    ri_3: tuple[int, ...] | None
-
-
-@dataclass(frozen=True)
 class ClassRecord:
     """One equivalence class under local complementation plus isomorphism."""
 
@@ -332,67 +312,47 @@ def _lc_classes(n_max: int) -> list[list[Graph]]:
     return classes
 
 
-def _member_stats(g: Graph, upper: int) -> MemberStats:
-    """The per-member values; upper is the persistency of g's class."""
-    return MemberStats(
-        graph6=to_graph6(g),
-        n=g.n,
-        edges=g.edge_count,
-        lower=lower_bound_max_rank(g),
-        upper=upper,
-        cover=min_vertex_cover(g).bit_count(),
-        two_colorable=two_coloring(g) is not None,
-        ri_2=rank_index(g, 2).counts if g.n >= 4 else None,
-        ri_3=rank_index(g, 3).counts if g.n >= 6 else None,
-    )
+def _constant(members: list[Graph], invariant, name: str):
+    """The value of invariant on every member; AssertionError unless one."""
+    values = {invariant(g) for g in members}
+    if len(values) != 1:
+        raise AssertionError(f"{name} must be constant on a class")
+    return values.pop()
 
 
-def classify_full(n_max: int) -> tuple[list[ClassRecord], dict[str, MemberStats]]:
+def classify(n_max: int) -> list[ClassRecord]:
     """Classify all connected graphs with 2 <= n <= n_max.
 
-    Returns the sorted class records and the per-member statistics keyed by
-    canonical graph6 string.  Records sort by (vertices, minimum edges, lower,
-    upper, rank indices) which makes tabulated orderings reproducible.
+    One record per class of _lc_classes: its representative is the member
+    with the least (edges, graph6), the lower bound and rank indices must
+    agree on every member, and persistency is searched on the representative
+    alone.  Records sort by (vertices, minimum edges, lower, upper, rank
+    indices) which makes tabulated orderings reproducible.
     """
     if n_max > CLASSIFY_CAP:
         raise CapExceeded(f"classification capped at n_max<={CLASSIFY_CAP}")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    member_map: dict[str, MemberStats] = {}
     records = []
     for members in _lc_classes(n_max):
-        members.sort(key=lambda g: (g.edge_count, to_graph6(g)))
-        upper = pauli_persistency(members[0])
-        ms = [_member_stats(g, upper) for g in members]
-        lowers = {s.lower for s in ms}
-        if len(lowers) != 1:
-            raise AssertionError("lower bound must be constant on a class")
-        for field in ("ri_2", "ri_3"):
-            vals = {getattr(s, field) for s in ms}
-            if len(vals) != 1:
-                raise AssertionError(f"{field} must be constant on a class")
-        rep = ms[0]
-        member_map.update((s.graph6, s) for s in ms)
+        rep = min(members, key=lambda g: (g.edge_count, to_graph6(g)))
         records.append(ClassRecord(
             class_id=0,  # numbered after the sort
-            representative=rep.graph6,
-            member_count=len(ms),
+            representative=to_graph6(rep),
+            member_count=len(members),
             n_vertices=rep.n,
-            n_edges=rep.edges,
-            lower=rep.lower,
-            upper=upper,
-            ri_3=rep.ri_3,
-            ri_2=rep.ri_2,
-            has_two_colorable_member=any(s.two_colorable for s in ms),
+            n_edges=rep.edge_count,
+            lower=_constant(members, lower_bound_max_rank, "lower bound"),
+            upper=pauli_persistency(rep),
+            ri_3=_constant(members, lambda g: rank_index(g, 3).counts, "ri_3")
+            if rep.n >= 6 else None,
+            ri_2=_constant(members, lambda g: rank_index(g, 2).counts, "ri_2")
+            if rep.n >= 4 else None,
+            has_two_colorable_member=any(two_coloring(g) is not None for g in members),
         ))
     records.sort(key=lambda r: (r.n_vertices, r.n_edges, r.lower, r.upper,
                                 r.ri_3 or (), r.ri_2 or (), r.representative))
-    records = [replace(r, class_id=i) for i, r in enumerate(records, 1)]
-    return records, member_map
-
-
-def classify(n_max: int) -> list[ClassRecord]:
-    return classify_full(n_max)[0]
+    return [replace(r, class_id=i) for i, r in enumerate(records, 1)]
 
 
 # ---------------------------------------------------------------------------

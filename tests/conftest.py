@@ -40,9 +40,16 @@ def connected_classes():
 
 
 @pytest.fixture(scope="session")
+def lc_classes7():
+    """The members of every class of connected graphs up to 7 vertices under
+    local complementation plus isomorphism, as listed by the class walk."""
+    return orbits._lc_classes(7)
+
+
+@pytest.fixture(scope="session")
 def classification7():
-    """(records, member stats) for the full classification up to 7 vertices."""
-    return orbits.classify_full(7)
+    """The class records of the full classification up to 7 vertices."""
+    return orbits.classify(7)
 
 
 @pytest.fixture(scope="session")

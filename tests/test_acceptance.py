@@ -32,6 +32,7 @@ from graphstates.graphs import (
     random_connected_graph,
     random_tree,
     relabel,
+    to_graph6,
     toggle_edge,
     two_coloring,
 )
@@ -107,7 +108,7 @@ def sample_graphs():
 
 
 def test_criterion_01_classification_table(classification7):
-    records, _ = classification7
+    records = classification7
     assert len(records) == 45
     assert sum(r.member_count for r in records) == 995
     got = [(r.member_count, r.n_vertices, r.n_edges, r.lower, r.upper,
@@ -124,7 +125,7 @@ def test_criterion_01_corroborations(classification7, connected_classes,
                                      rank_list_fingerprint):
     """Independently re-derive the frozen cells that disagree across common
     transcriptions of this classification."""
-    records, _ = classification7
+    records = classification7
     # class 11 rank histogram straight from reduced density operators
     rep11 = parse_graph6(records[10].representative)
     state = oracle.graph_state(rep11)
@@ -224,7 +225,7 @@ def test_criterion_06_chains_grids_rings():
 
 
 def test_criterion_07_y_measurement_closure(classification7):
-    records, _ = classification7
+    records = classification7
     g = cycle_graph(6)
     assert two_coloring(g) is not None
     h = measurement.measure_via_lc(g, 0, "y")
@@ -270,11 +271,14 @@ def test_criterion_09_support_count_identity(connected_classes):
     _report(9, "support-count identity, exhaustive n<=6, |A|<=3")
 
 
-def test_criterion_10_monotonicity(connected_classes, classification7):
-    _, members = classification7
-    # sandwich over every isomorphism class up to 7 vertices
-    for stats in members.values():
-        assert stats.lower <= stats.upper <= stats.cover
+def test_criterion_10_monotonicity(connected_classes, lc_classes7, classification7):
+    # sandwich over every isomorphism class up to 7 vertices; upper is the
+    # persistency of the member's LC class, held by the class record
+    upper_of = {r.representative: r.upper for r in classification7}
+    for cls in lc_classes7:
+        upper = upper_of[to_graph6(min(cls, key=lambda g: (g.edge_count, to_graph6(g))))]
+        for g in cls:
+            assert lower_bound_max_rank(g) <= upper <= min_vertex_cover(g).bit_count()
     # edge toggles move each bipartite rank by at most one
     for n, classes in connected_classes.items():
         for g in classes:

@@ -1,5 +1,6 @@
 """Measurement rewrite rules, byproducts, and sequence threading."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,12 +9,15 @@ import pytest
 
 from graphstates import oracle
 from graphstates.graphs import (
+    bits_of,
     complete_graph,
     cycle_graph,
+    delete_vertex,
     from_edges,
     path_graph,
     random_connected_graph,
     star_graph,
+    sym_diff_edges,
     to_graph6,
     two_coloring,
 )
@@ -80,14 +84,48 @@ def test_b0_is_checked_at_an_isolated_vertex(rule):
         rule(g, 0, "x", b0=1)
 
 
+def _pairs_between(a_mask, b_mask):
+    """Unordered pairs with one end in each mask (the masks may overlap)."""
+    return {(min(u, v), max(u, v)) for u in bits_of(a_mask)
+            for v in bits_of(b_mask & ~(1 << u))}
+
+
+def _pairs_within(mask):
+    return set(itertools.combinations(bits_of(mask), 2))
+
+
+def _toggle_rule(g, a, basis, b0):
+    """The graph after measuring basis at a, by the pair-toggle rule of Hein,
+    Eisert and Briegel: z deletes a; y toggles every pair in a's
+    neighbourhood N_a, then deletes a; x at special neighbour b0 toggles the
+    pairs between N_b0 and N_a, within N_b0 & N_a, and between b0 and the
+    rest of N_a, then deletes a."""
+    nb = g.rows[a]
+    if basis == "z":
+        pairs = set()
+    elif basis == "y":
+        pairs = _pairs_within(nb)
+    else:
+        nb0 = g.rows[b0]
+        pairs = (_pairs_between(nb0, nb) ^ _pairs_within(nb0 & nb)
+                 ^ _pairs_between(1 << b0, nb & ~(1 << b0)))
+    return delete_vertex(sym_diff_edges(g, pairs), a)
+
+
 def test_via_lc_matches_rule_exhaustively(connected_classes):
+    x_cases = 0
     for n, classes in connected_classes.items():
         for g in classes:
             for a in range(n):
-                for basis in ("x", "y", "z"):
-                    lhs = measure_via_lc(g, a, basis)
-                    rhs = measure_pauli(g, a, basis).graph_after
-                    assert lhs.rows == rhs.rows, (to_graph6(g), a, basis)
+                measurements = [("y", None), ("z", None)]
+                measurements += [("x", b0) for b0 in bits_of(g.rows[a])]
+                for basis, b0 in measurements:
+                    ref = _toggle_rule(g, a, basis, b0).rows
+                    assert measure_via_lc(g, a, basis, b0).rows == ref, \
+                        (to_graph6(g), a, basis, b0)
+                    assert measure_pauli(g, a, basis, b0).graph_after.rows == ref
+                x_cases += len(measurements) - 2
+    assert x_cases == 21328  # one per vertex and special neighbour
 
 
 def test_special_neighbor_choice_is_immaterial_up_to_lc():

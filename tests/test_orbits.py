@@ -5,11 +5,12 @@ import json
 import random
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from graphstates import orbits
+from graphstates import entanglement, orbits
 from graphstates.entanglement import pauli_persistency
 from graphstates.graphs import (
     CapExceeded,
@@ -20,6 +21,7 @@ from graphstates.graphs import (
     from_edges,
     grid_graph,
     local_complement,
+    min_vertex_cover,
     parse_graph6,
     path_graph,
     petersen_graph,
@@ -294,28 +296,26 @@ def test_records_render_csv_json_dot():
     assert "cluster_1" in dot and "--" in dot
 
 
-def test_classes_cover_every_connected_graph(classification7, connected_classes):
-    _, members = classification7
+def test_classes_cover_every_connected_graph(lc_classes7, connected_classes):
+    members = [g for cls in lc_classes7 for g in cls]
     for n, classes in connected_classes.items():
-        assert {s.graph6 for s in members.values() if s.n == n} == \
-            {to_graph6(g) for g in classes}
+        assert {g for g in members if g.n == n} == set(classes)
 
 
 def test_csv_matches_the_frozen_classify7_table(classification7):
-    records, _ = classification7
+    records = classification7
     assert orbits.records_to_csv(records).encode() == (REFERENCE / "classify7.csv").read_bytes()
 
 
 def test_class_counts_match_a090899(classification7):
     # connected graphs under LC plus isomorphism, n = 2..7 (OEIS A090899)
-    records, _ = classification7
+    records = classification7
     assert Counter(r.n_vertices for r in records) == {2: 1, 3: 1, 4: 2, 5: 4, 6: 11, 7: 26}
 
 
-def test_classes_are_closed_under_local_complementation():
-    classes = orbits._lc_classes(7)
-    class_of = {g: i for i, members in enumerate(classes) for g in members}
-    assert len(class_of) == sum(len(members) for members in classes) == 995
+def test_classes_are_closed_under_local_complementation(lc_classes7):
+    class_of = {g: i for i, members in enumerate(lc_classes7) for g in members}
+    assert len(class_of) == sum(len(members) for members in lc_classes7) == 995
     for g, i in class_of.items():
         for a in range(g.n):
             assert class_of[canonical_form(local_complement(g, a))[0]] == i
@@ -349,9 +349,9 @@ def _untrimmed_lc_classes(n_max):
     return classes
 
 
-def test_trimmed_walk_lists_the_untrimmed_walks_classes_in_order():
+def test_trimmed_walk_lists_the_untrimmed_walks_classes_in_order(lc_classes7):
     # the classes of every n <= 7, members in walk order
-    assert orbits._lc_classes(7) == _untrimmed_lc_classes(7)
+    assert lc_classes7 == _untrimmed_lc_classes(7)
 
 
 def test_walk_skips_degree_one_vertices_and_twins(monkeypatch):
@@ -368,21 +368,33 @@ def test_walk_skips_degree_one_vertices_and_twins(monkeypatch):
 
 
 def test_class_upper_is_every_members_persistency(classification7):
-    records, members = classification7
-    upper_of = {r.representative: r.upper for r in records}
+    upper_of = {r.representative: r.upper for r in classification7}
     for cls in orbits._lc_classes(6):
         rep = min(cls, key=lambda g: (g.edge_count, to_graph6(g)))
         for g in cls:
-            assert pauli_persistency(g) == members[to_graph6(g)].upper == \
-                upper_of[to_graph6(rep)]
+            assert pauli_persistency(g) == upper_of[to_graph6(rep)]
 
 
-def test_member_stats_cover_all_classes(classification7):
-    records, members = classification7
-    assert sum(r.member_count for r in records) == len(members) == 995
-    # the member keyed by each representative exists and agrees on basics
-    for rec in records:
-        stat = members[rec.representative]
-        assert stat.n == rec.n_vertices
-        assert stat.lower == rec.lower
-        assert stat.edges == rec.n_edges
+def test_classify_computes_no_cover_of_its_own(monkeypatch):
+    calls = 0
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return min_vertex_cover(g)
+
+    assert "min_vertex_cover" not in vars(orbits)
+    monkeypatch.setattr(entanglement, "min_vertex_cover", counting)
+    orbits.classify(6)
+    assert calls == 180  # from the bounds; 322 with an exact cover per member
+
+
+@pytest.mark.parametrize("name, varying, message", [
+    ("lower_bound_max_rank", lambda g: g.edge_count, "lower bound"),
+    ("rank_index", lambda g, k: SimpleNamespace(counts=(g.edge_count,)), "ri_2"),
+])
+def test_classify_checks_invariants_are_constant_on_a_class(monkeypatch, name, varying,
+                                                            message):
+    monkeypatch.setattr(orbits, name, varying)
+    with pytest.raises(AssertionError, match=message):
+        orbits.classify(5)
