@@ -18,9 +18,8 @@ reaches k, and the scan stops at the first k that is no more than the best
 rank found, since no smaller class can beat it.  A star thus ends at its
 first split.
 
-The search branches on one vertex of each set of twins (vertices whose
-neighbourhoods agree outside the pair).  Swapping twins is an automorphism,
-so measuring either twin in the same basis gives isomorphic graphs; for x the
+The search branches on one vertex of each twin set (see graphs.twin_reps):
+measuring either twin in the same basis gives isomorphic graphs; for x the
 two default special neighbours may differ, but any choice gives a locally
 equivalent graph.  Persistency is invariant under both, so the pruning is
 exact.
@@ -56,6 +55,7 @@ from .graphs import (
     is_connected,
     min_vertex_cover,
     to_graph6,
+    twin_reps,
     two_coloring,
 )
 from .measurement import measure_via_lc
@@ -184,13 +184,11 @@ def _can_disentangle(g: Graph, budget: int, memo: dict) -> bool:
             edged |= r
         result = all(r == 0 or r | 1 << v == edged for v, r in enumerate(rows))
     else:
-        tried: list[int] = []
+        twins = twin_reps(rows)
         for v in range(g.n):
-            r = rows[v]
-            # a twin of a vertex already tried gives isomorphic children
-            if r == 0 or any(not (rows[u] ^ r) & ~(1 << u | 1 << v) for u in tried):
+            # a twin of a lesser vertex gives isomorphic children
+            if rows[v] == 0 or twins[v] != v:
                 continue
-            tried.append(v)
             if any(_can_disentangle(measure_via_lc(g, v, basis), budget - 1, memo)
                    for basis in ("z", "y", "x")):
                 result = True
@@ -290,14 +288,15 @@ def two_colorable_bounds(g: Graph) -> tuple[int, int]:
 def bounds_record(g: Graph, depth_limit: int | None = None) -> dict:
     """Flat record used for CSV/JSON rendering of a bounds query."""
     rep = bounds(g, depth_limit)
+    connected = is_connected(g)
     record = {
         "graph6": to_graph6(g),
         "lower": rep.lower,
         "upper": rep.upper,
         "cover_size": rep.cover_size,
         "tight": rep.tight,
-        "RI_2": rank_index(g, 2).counts if is_connected(g) and 2 <= g.n // 2 else None,
-        "RI_3": rank_index(g, 3).counts if is_connected(g) and 3 <= g.n // 2 else None,
+        "RI_2": rank_index(g, 2).counts if connected and 2 <= g.n // 2 else None,
+        "RI_3": rank_index(g, 3).counts if connected and 3 <= g.n // 2 else None,
         "two_colorable": two_coloring(g) is not None,
     }
     return record

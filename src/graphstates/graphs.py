@@ -339,20 +339,6 @@ def local_complement(g: Graph, a: int) -> Graph:
 # ---------------------------------------------------------------------------
 # connectivity and coloring
 
-def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in bits_of(frontier):
-            nxt |= g.rows[v]
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == g.vertex_mask()
-
-
 def connected_components(g: Graph) -> list[int]:
     """Vertex masks of the connected components, by smallest member."""
     todo = g.vertex_mask()
@@ -370,6 +356,10 @@ def connected_components(g: Graph) -> list[int]:
         comps.append(seen)
         todo &= ~seen
     return comps
+
+
+def is_connected(g: Graph) -> bool:
+    return len(connected_components(g)) <= 1
 
 
 def two_coloring(g: Graph) -> tuple[int, int] | None:
@@ -477,7 +467,29 @@ def is_vertex_cover(g: Graph, subset) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# canonical forms and isomorphism
+# twins, canonical forms and isomorphism
+
+def twin_reps(rows: tuple[int, ...]) -> list[int]:
+    """reps[v]: the least vertex that is a twin of v, or v itself.
+
+    Vertices u and v are twins when they have the same neighbours outside
+    {u, v}.  Swapping twins is an automorphism that fixes every other vertex,
+    so a search over vertices needs to branch on one vertex of each twin set
+    only.  Twin-ness is an equivalence relation, so each vertex is compared
+    only against the first vertex of each class found so far.
+    """
+    reps = []
+    firsts = []
+    for v, r in enumerate(rows):
+        for u in firsts:
+            if not (rows[u] ^ r) & ~(1 << u | 1 << v):
+                break
+        else:
+            u = v
+            firsts.append(v)
+        reps.append(u)
+    return reps
+
 
 def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     """Lexicographically minimal relabeling of g plus a witnessing permutation.
@@ -490,9 +502,9 @@ def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     # Depth-first search over vertex orders.  Column k of the candidate is the
     # adjacency of the k-th placed vertex to those placed before it; only the
     # vertices with the minimal next column can lead to the minimum, so only
-    # ties branch, and among tied twins one stands for all (swapping twins is
-    # an automorphism fixing every placed vertex).
+    # ties branch, and among tied twins (twin_reps) one stands for all.
     rows = g.rows
+    reps = twin_reps(rows)
     best: list[int] | None = None
     best_order: list[int] = []
     cur: list[int] = []
@@ -510,13 +522,13 @@ def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
         if best is not None and m > best[k] and cur == best[:k]:
             return
         cur.append(m)
-        tried: list[int] = []
+        branched = set()  # twin classes already branched on at this node
         for v, c in cols.items():
-            r = rows[v]
-            if c != m or any(not (rows[u] ^ r) & ~(1 << u | 1 << v) for u in tried):
+            if c != m or reps[v] in branched:
                 continue
-            tried.append(v)
+            branched.add(reps[v])
             order.append(v)
+            r = rows[v]
             search({u: cu << 1 | (r >> u & 1) for u, cu in cols.items() if u != v})
             order.pop()
         cur.pop()

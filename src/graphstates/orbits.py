@@ -20,11 +20,11 @@ class on n vertices holds a one-vertex extension of a class representative
 on n - 1 vertices (see _lc_classes), and a walk over canonical forms of
 local complements from each new extension lists its members.  The walk
 skips the complements that cannot give a new member: at a vertex of degree
-at most 1 (the graph itself) and at a twin of a vertex already complemented
-(an isomorphic image).  Each class record is built straight from its
-members: the cheap invariants (maximal Schmidt rank, rank indices,
-2-colorability) are computed per member; the persistency search, whose
-answer is LC-invariant, runs once per class on its representative.
+at most 1 (the graph itself) and at any but the least vertex of a twin set
+(an isomorphic image; see graphs.twin_reps).  Each class record is built
+straight from its members: the cheap invariants (maximal Schmidt rank, rank
+indices, 2-colorability) are computed per member; the persistency search,
+whose answer is LC-invariant, runs once per class on its representative.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .graphs import (
     local_complement,
     parse_graph6,
     to_graph6,
+    twin_reps,
     two_coloring,
 )
 from .stabilizer import (
@@ -274,11 +275,11 @@ def _lc_classes(n_max: int) -> list[list[Graph]]:
     Local complementation generates the orbit (Van den Nest, Dehaene & De
     Moor, PRA 69, 022316, 2004), but two kinds of complement add nothing:
     at a vertex of degree at most 1 it returns the member itself, and at a
-    twin of a vertex already complemented from the same member it gives an
-    isomorphic image, since swapping the twins is an automorphism of the
-    member.  The walk skips both, so each canonical form it computes is of
-    a complement that may be new; the classes and their order are those of
-    the walk over all n complements.
+    vertex that is not the least of its twin set (graphs.twin_reps) it gives
+    an isomorphic image of the complement at that least twin.  The walk
+    skips both, so each canonical form it computes is of a complement that
+    may be new; the classes and their order are those of the walk over all
+    n complements.
     """
     classes: list[list[Graph]] = []
     reps = [Graph(1, (0,))]
@@ -293,15 +294,12 @@ def _lc_classes(n_max: int) -> list[list[Graph]]:
                 seen.add(start)
                 members = [start]
                 for g in members:
-                    rows = g.rows
-                    tried: list[int] = []
-                    for a, r in enumerate(rows):
-                        # degree <= 1 gives g back, a twin of a tried vertex
+                    twins = twin_reps(g.rows)
+                    for a, r in enumerate(g.rows):
+                        # degree <= 1 gives g back, a twin of a lesser vertex
                         # an isomorphic image: both are in seen already
-                        if r & (r - 1) == 0 or any(
-                                not (rows[u] ^ r) & ~(1 << u | 1 << a) for u in tried):
+                        if r & (r - 1) == 0 or twins[a] != a:
                             continue
-                        tried.append(a)
                         image = canonical_form(local_complement(g, a))[0]
                         if image not in seen:
                             seen.add(image)

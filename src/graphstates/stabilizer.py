@@ -78,31 +78,35 @@ def _compose_action(a: tuple, b: tuple) -> tuple:
 
 def _build_tables():
     """Breadth-first walk from I over right factors H then S, keyed by the
-    exact signed axis action (a Clifford is fixed by it up to phase)."""
-    gens = [(m, _axis_action(m)) for m in (_H_MATRIX, _S_MATRIX)]
+    exact signed axis action (a Clifford is fixed by it up to phase); each
+    element's word is its shortest H/S product, first found by the walk."""
+    gens = [(m, _axis_action(m), letter) for m, letter in ((_H_MATRIX, "H"), (_S_MATRIX, "S"))]
     mats = [np.eye(2, dtype=complex)]
     images = [_axis_action(mats[0])]
+    words = [""]
     index = {images[0]: 0}
     frontier = [0]
     while frontier:
         nxt = []
         for i in frontier:
-            for gen, gen_image in gens:
+            for gen, gen_image, letter in gens:
                 image = _compose_action(images[i], gen_image)
                 if image not in index:
                     index[image] = len(images)
                     images.append(image)
                     mats.append(_normalize_phase(mats[i] @ gen))
+                    words.append(words[i] + letter)
                     nxt.append(index[image])
         frontier = nxt
     if len(mats) != 24:
         raise AssertionError(f"expected 24 single-qubit Cliffords, built {len(mats)}")
     compose = [[index[_compose_action(a, b)] for b in images] for a in images]
     inverse = [row.index(0) for row in compose]
-    return np.array(mats), compose, inverse, tuple(images)
+    return np.array(mats), compose, inverse, tuple(images), words
 
 
-CLIFFORD_MATRICES, CLIFFORD_COMPOSE, CLIFFORD_INVERSE, CLIFFORD_AXIS_IMAGE = _build_tables()
+(CLIFFORD_MATRICES, CLIFFORD_COMPOSE, CLIFFORD_INVERSE, CLIFFORD_AXIS_IMAGE,
+ _WORDS) = _build_tables()
 
 
 def clifford_index_of_matrix(m: np.ndarray) -> int:
@@ -124,28 +128,11 @@ CL_SQRT_MIY = clifford_index_of_matrix(SQRT_MATRICES[("y", -1)])
 CL_SQRT_IZ = clifford_index_of_matrix(SQRT_MATRICES[("z", +1)])
 CL_SQRT_MIZ = clifford_index_of_matrix(SQRT_MATRICES[("z", -1)])
 
-
-def _build_names() -> tuple[str, ...]:
-    names = {CL_I: "I", CL_X: "X", CL_Y: "Y", CL_Z: "Z", CL_H: "H",
-             CL_S: "S", CL_SDG: "Sd", CL_SQRT_MIX: "Qx-", CL_SQRT_IY: "Qy+",
-             CL_SQRT_MIY: "Qy-", clifford_index_of_matrix(SQRT_MATRICES["x", +1]): "Qx+"}
-    # the rest get their shortest H/S word
-    frontier = [(CL_I, "")]
-    seen = {CL_I}
-    while frontier:
-        nxt = []
-        for idx, word in frontier:
-            for gen_idx, letter in ((CL_H, "H"), (CL_S, "S")):
-                j = CLIFFORD_COMPOSE[idx][gen_idx]
-                if j not in seen:
-                    seen.add(j)
-                    names.setdefault(j, word + letter)
-                    nxt.append((j, word + letter))
-        frontier = nxt
-    return tuple(names[i] for i in range(24))
-
-
-CLIFFORD_NAMES = _build_names()
+_NAMES = {CL_I: "I", CL_X: "X", CL_Y: "Y", CL_Z: "Z", CL_H: "H", CL_S: "S", CL_SDG: "Sd",
+          CL_SQRT_MIX: "Qx-", clifford_index_of_matrix(SQRT_MATRICES["x", +1]): "Qx+",
+          CL_SQRT_IY: "Qy+", CL_SQRT_MIY: "Qy-"}
+# the rest get their shortest H/S word
+CLIFFORD_NAMES = tuple(_NAMES.get(i, word) for i, word in enumerate(_WORDS))
 
 
 def clifford_axis_image(idx: int, axis: int) -> tuple[int, int]:

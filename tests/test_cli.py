@@ -2,11 +2,14 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import graphstates
 from graphstates import measurement, oracle
 from graphstates.cli import main
 from graphstates.graphs import cycle_graph, empty_graph, star_graph, to_graph6
@@ -160,9 +163,11 @@ def test_verify_passes(capsys):
 
 
 def test_module_entry_point_runs():
+    # pytest's pythonpath setting does not reach a child process
+    src = Path(graphstates.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "graphstates", "bounds", "A_"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0
     assert "lower=1" in proc.stdout
 

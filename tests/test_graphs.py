@@ -40,6 +40,7 @@ from graphstates.graphs import (
     sym_diff_edges,
     to_graph6,
     toggle_edge,
+    twin_reps,
     two_coloring,
 )
 
@@ -186,6 +187,26 @@ def test_canonical_witness_permutation():
 def test_isomorphism():
     assert not is_isomorphic(path_graph(4), star_graph(4))
     assert is_isomorphic(cycle_graph(5), relabel(cycle_graph(5), (3, 1, 4, 2, 0)))
+
+
+def _all_labelled_graphs(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def test_twin_reps_picks_the_least_twin(connected_classes):
+    graphs = [g for n in range(6) for g in _all_labelled_graphs(n)]
+    graphs += [g for n in range(2, 8) for g in connected_classes[n]]
+    for g in graphs:
+        nbrs = [set(bits_of(r)) for r in g.rows]
+        reps = twin_reps(g.rows)
+        for v in range(g.n):
+            assert reps[v] == min(u for u in range(g.n)
+                                  if nbrs[u] - {u, v} == nbrs[v] - {u, v})
+            swap = list(range(g.n))
+            swap[v], swap[reps[v]] = reps[v], v
+            assert relabel(g, swap) == g
 
 
 @functools.lru_cache(maxsize=None)
