@@ -1,22 +1,32 @@
 """Schmidt-rank computations and entanglement bounds for graph states.
 
 The Schmidt rank across a bipartition (A, B) equals the GF(2) rank of the
-cross block of the adjacency matrix.  The maximum over all bipartitions lower
+cross block of the adjacency matrix. The maximum over all bipartitions lower
 bounds the Schmidt measure; the minimal number of single-qubit Pauli
-measurements that disentangles the state (found by iterative-deepening search
-over the graph rewrite rules) upper bounds it, and is itself at most the
-minimum vertex cover size.  All ranks are base-2 logarithms, i.e. plain
+measurements that disentangles the state (found by iterative-deepening
+search over the graph rewrite rules) upper bounds it, and is itself at most
+the minimum vertex cover size. All ranks are base-2 logarithms, i.e. plain
 GF(2) ranks.
 
-Every scan over bipartitions walks unordered splits by the size k of the
-smaller side (_splits).  The maximum is scanned from k = min(floor(n/2), c)
-down, where c is the minimum vertex cover size: every cross edge has an end
-in the cover, so no cut rank exceeds c, and the r cross rows that give a
-split rank r give a split with smaller side r that reaches it.  A split with
-smaller side k has rank at most k, so a class stops as soon as one split
-reaches k, and the scan stops at the first k that is no more than the best
-rank found, since no smaller class can beat it.  A star thus ends at its
-first split.
+Whether some cut rank reaches k is one question, asked of the kernel
+_full_rank_split: it is so exactly when some set A of k vertices has cut
+rank k (the k vertices whose cross rows are independent in a split of rank
+at least k form one), and the kernel searches for such an A by independence
+of 2k vectors (see its docstring).  The maximum is the first k, from
+min(floor(n/2), c) down, for which the kernel finds a set, where c is the
+greedy vertex cover size: every cross edge has an end in a cover, so no cut
+rank exceeds c.  rank_index still walks every split with smaller side k
+(_splits).
+
+The persistency search prunes by cut rank at every node, which is the lower
+bound applied below the root.  A measurement takes a graph to a
+vertex-minor: local complementation keeps every cut rank, and deleting one
+vertex lowers any cut rank by at most 1 (Oum, Rank-width and vertex-minors,
+JCTB 95, 2005).  So a node with budget b and a set of cut rank b + 1 can
+never be emptied.  A node first tries the sets that earlier siblings were
+refuted by, carried over to its labels, then, when 2 <= b < floor(n/2),
+asks the kernel; a set it finds is passed on to the later siblings.  Both
+come before the greedy cover check, which a cut rank above b would fail.
 
 The search branches on one vertex of each twin set (see graphs.twin_reps):
 measuring either twin in the same basis gives isomorphic graphs; for x the
@@ -32,11 +42,13 @@ local-complementation orbit holds only the stars and the complete graph.
 So the node succeeds exactly when its edged vertices form a clique, which y
 at any of them empties.
 
-The search's only bound is its node cap: it gives up with CapExceeded once
-its memo holds more than SEARCH_NODE_CAP nodes, whatever n is.  Every
-benchmark and classification input stays below 1,100 nodes, odd rings up to
-C13 finish in seconds, and gap graphs at n = 12 that would otherwise run for
-minutes stop in about a second (KVp`qtKGUrkO: 0.8-1.4 s on a 2-vCPU Xeon).
+The node cap bounds the search at any n: it gives up with CapExceeded once
+its memo holds more than SEARCH_NODE_CAP nodes.  The prune fills the memo
+with a subset of the entries the unpruned search makes, so it trips the cap
+only on inputs where that search would.  On a 2-vCPU Xeon, odd rings up to
+C19 and the n = 12 gap graph KVp`qtKGUrkO finish in under 0.1 s, and
+random_connected_graph(random.Random(0), 20, 0.35) still reaches the cap, in
+about 1.5 s.
 """
 
 from __future__ import annotations
@@ -139,21 +151,66 @@ def rank_index(g: Graph, k: int) -> RankIndex:
     return RankIndex(k, tuple(counts))
 
 
+def _full_rank_split(rows: tuple[int, ...], n: int, k: int) -> int:
+    """Mask of a vertex set A with |A| = k and cut rank k, or 0 if there is
+    none (1 <= k <= n/2).
+
+    Over GF(2), rank(Gamma[A, V - A]) = dim span{row_a, e_a : a in A} - |A|,
+    so A has full rank k exactly when its 2k vectors are independent, and
+    then its complement B has 2|B| vectors of dependence |B| - k = n - 2k.
+    Both conditions are hereditary.  Vertices are placed in order, first on
+    side A, with one XOR basis per side (keyed by leading bit, undone on
+    backtracking); A must stay independent and B's dependence at most
+    n - 2k.  When 2k = n, vertex 0 stays on side A.
+    """
+    slack = n - 2 * k
+    basis_a = [0] * (n + 1)
+    basis_b = [0] * (n + 1)
+
+    def insert(basis: list[int], x: int) -> int:
+        # the slot x took, or 0 when x is in the span
+        while x:
+            t = x.bit_length()
+            b = basis[t]
+            if not b:
+                basis[t] = x
+                return t
+            x ^= b
+        return 0
+
+    def place(v: int, a_mask: int, size_a: int, size_b: int, dep_b: int) -> int:
+        bit = 1 << v
+        s1 = insert(basis_a, bit)
+        if s1:
+            s2 = insert(basis_a, rows[v])
+            if s2:
+                found = (a_mask | bit if size_a + 1 == k
+                         else place(v + 1, a_mask | bit, size_a + 1, size_b, dep_b))
+                basis_a[s2] = 0
+                if found:
+                    return found
+            basis_a[s1] = 0
+        if size_b == n - k or (v == 0 and slack == 0):
+            return 0
+        s1 = insert(basis_b, bit)
+        s2 = insert(basis_b, rows[v])
+        dep = dep_b + (not s1) + (not s2)
+        found = place(v + 1, a_mask, size_a, size_b + 1, dep) if dep <= slack else 0
+        basis_b[s2] = 0  # slot 0 is never a leading bit, so clearing it is harmless
+        basis_b[s1] = 0
+        return found
+
+    return place(0, 0, 0, 0, 0)
+
+
 def lower_bound_max_rank(g: Graph) -> int:
     """Maximum Schmidt rank over all bipartitions."""
     if g.n > SCAN_CAP:
         raise CapExceeded(f"bipartition scan capped at n<={SCAN_CAP}, got n={g.n}")
-    best = 0
-    for k in range(min(g.n // 2, min_vertex_cover(g).bit_count()), 0, -1):
-        if k <= best:
-            break  # no split with smaller side k can beat best
-        for a_mask in _splits(g.n, k):
-            r = _cross_rank(g, a_mask)
-            if r > best:
-                best = r
-                if best == k:
-                    break
-    return best
+    for k in range(min(g.n // 2, greedy_vertex_cover(g).bit_count()), 0, -1):
+        if _full_rank_split(g.rows, g.n, k):
+            return k
+    return 0
 
 
 def _components_with_edges(g: Graph) -> int:
@@ -161,22 +218,50 @@ def _components_with_edges(g: Graph) -> int:
                if any(g.rows[v] for v in bits_of(comp)))
 
 
-def _can_disentangle(g: Graph, budget: int, memo: dict) -> bool:
+def _insert_bit(mask: int, v: int) -> int:
+    """mask with a 0 inserted at bit v: from the labels after deleting v to
+    those before."""
+    low = mask & ((1 << v) - 1)
+    return (mask ^ low) << 1 | low
+
+
+def _delete_bit(mask: int, v: int) -> int:
+    """mask without bit v, which is 0: to the labels after deleting v."""
+    low = mask & ((1 << v) - 1)
+    return (mask ^ low) >> 1 | low
+
+
+def _can_disentangle(g: Graph, budget: int, memo: dict,
+                     seen: list[int] | None = None) -> bool:
+    """Can budget measurements empty g?  seen lists vertex sets, in g's
+    labels, that had cut rank budget + 1 in an earlier sibling of g; a set
+    that the kernel finds for g is appended to it."""
     if all(r == 0 for r in g.rows):
         return True
     if budget <= 0:
         return False
     rows = g.rows
     key = (rows, budget)
-    hit = memo.get(key)  # the memo holds only nodes that passed both checks below
+    # The memo holds the nodes that pass the component check and whose greedy
+    # cover exceeds the budget, as it did before the cut-rank prune: a set of
+    # cut rank budget + 1 implies that cover, since no cover is below a cut
+    # rank.  Pruned subtrees are never entered, so the entries are a subset
+    # of the unpruned search's, and the cap trips only where that one would.
+    hit = memo.get(key)
     if hit is not None:
         return hit
-    if greedy_vertex_cover(g).bit_count() <= budget:
-        return True
     if _components_with_edges(g) > budget:
         return False
-    result = False
-    if budget == 1:
+    if seen is None:
+        seen = []
+    if any(_cross_rank(g, a) > budget for a in seen):
+        result = False
+    elif 2 <= budget < g.n // 2 and (witness := _full_rank_split(rows, g.n, budget + 1)):
+        seen.append(witness)
+        result = False
+    elif greedy_vertex_cover(g).bit_count() <= budget:
+        return True
+    elif budget == 1:
         # one edged component that is not a star: only a clique is one
         # measurement (y at any of its vertices) from empty
         edged = 0
@@ -184,15 +269,20 @@ def _can_disentangle(g: Graph, budget: int, memo: dict) -> bool:
             edged |= r
         result = all(r == 0 or r | 1 << v == edged for v, r in enumerate(rows))
     else:
+        result = False
         twins = twin_reps(rows)
+        witnesses: list[int] = []  # the children's, in g's labels
         for v in range(g.n):
             # a twin of a lesser vertex gives isomorphic children
             if rows[v] == 0 or twins[v] != v:
                 continue
-            if any(_can_disentangle(measure_via_lc(g, v, basis), budget - 1, memo)
+            child_seen = [_delete_bit(a, v) for a in witnesses if not a >> v & 1]
+            carried = len(child_seen)
+            if any(_can_disentangle(measure_via_lc(g, v, basis), budget - 1, memo, child_seen)
                    for basis in ("z", "y", "x")):
                 result = True
                 break
+            witnesses += [_insert_bit(a, v) for a in child_seen[carried:]]
     memo[key] = result
     if len(memo) > SEARCH_NODE_CAP:
         raise CapExceeded(
@@ -221,9 +311,11 @@ def pauli_persistency(g: Graph, depth_limit: int | None = None) -> int:
     graph state (graph rules, minimum-index special neighbor for x).
 
     When the lower bound already meets the minimum vertex cover size no search
-    is needed.  Otherwise the search settles nodes with one measurement left
-    in closed form (one succeeds exactly when its edges form a star or a
-    clique), and the node cap is its only bound: it raises CapExceeded after
+    is needed.  Otherwise the search deepens from the lower bound.  It
+    refutes a node with budget b that has a set of cut rank b + 1, trying the
+    sets that refuted earlier siblings before the kernel; it settles nodes
+    with one measurement left in closed form (one succeeds exactly when its
+    edges form a star or a clique).  It raises CapExceeded after
     SEARCH_NODE_CAP memo entries, at any n.
     """
     return _bounds_parts(g, depth_limit)[1]

@@ -401,15 +401,22 @@ def _drop_vertex_edges(rows: list[int], v: int) -> None:
 
 
 def greedy_vertex_cover(g: Graph) -> int:
-    """A (not necessarily minimal) cover mask: repeatedly take a max-degree vertex."""
+    """A (not necessarily minimal) cover mask: repeatedly take a max-degree
+    vertex, the least-indexed one on ties."""
     rows = list(g.rows)
+    deg = [r.bit_count() for r in rows]
     cover = 0
-    while True:
-        v = max(range(g.n), key=lambda u: rows[u].bit_count(), default=None)
-        if v is None or rows[v] == 0:
-            return cover
+    top = max(deg, default=0)
+    while top:
+        v = deg.index(top)
         cover |= 1 << v
-        _drop_vertex_edges(rows, v)
+        for w in bits_of(rows[v]):
+            rows[w] &= ~(1 << v)
+            deg[w] -= 1
+        rows[v] = 0
+        deg[v] = 0
+        top = max(deg)
+    return cover
 
 
 def _matching_lower_bound(rows: list[int]) -> int:

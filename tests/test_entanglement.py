@@ -7,6 +7,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from graphstates import entanglement, oracle
 from graphstates.entanglement import (
@@ -191,17 +192,90 @@ def test_lower_bound_matches_mask_order_scan_on_random_graphs():
 
 
 def test_lower_bound_scan_starts_at_the_cover(monkeypatch):
-    # no cut rank exceeds a vertex cover: the star's scan ends at its first split
+    # no cut rank exceeds a vertex cover: the star's scan is one kernel call
     calls = []
-    real = entanglement._cross_rank
+    real = entanglement._full_rank_split
 
-    def counting(g, a_mask):
-        calls.append(a_mask)
-        return real(g, a_mask)
+    def counting(rows, n, k):
+        calls.append(k)
+        return real(rows, n, k)
 
-    monkeypatch.setattr(entanglement, "_cross_rank", counting)
+    monkeypatch.setattr(entanglement, "_full_rank_split", counting)
     assert lower_bound_max_rank(star_graph(20)) == 1
     assert calls == [1]
+
+
+def _brute_full_rank(g, k):
+    return any(entanglement._cross_rank(g, a) == k for a in entanglement._splits(g.n, k))
+
+
+def _check_full_rank_split(g):
+    for k in range(1, g.n // 2 + 1):
+        a_mask = entanglement._full_rank_split(g.rows, g.n, k)
+        assert bool(a_mask) == _brute_full_rank(g, k), (g.rows, k)
+        if a_mask:
+            assert a_mask.bit_count() == k
+            assert entanglement._cross_rank(g, a_mask) == k
+
+
+def test_full_rank_split_matches_brute_force_on_all_small_labelled_graphs():
+    for n in range(0, 7):
+        for g in _labelled_graphs(n):
+            _check_full_rank_split(g)
+
+
+def test_full_rank_split_matches_brute_force_on_random_graphs():
+    rng = random.Random(36)
+    for _ in range(150):
+        n = rng.randrange(7, 13)
+        p = rng.random()
+        _check_full_rank_split(
+            from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+
+
+def test_lower_bound_at_twenty_vertices():
+    # symmetric inputs whose top (floor(n/2) or the greedy cover) is far
+    # above their largest cut rank
+    k10 = complete_graph(10)
+    barbell = from_edges(20, k10.edges() + [(a + 10, b + 10) for a, b in k10.edges()] + [(9, 10)])
+    cases = [
+        (complete_graph(20), 1),
+        (from_edges(20, [(a, b) for a in range(10) for b in range(10, 20)]), 2),
+        (barbell, 3),
+        (from_edges(20, [(a, b) for a in range(3) for b in range(3, 20)]), 2),
+        (random_tree(random.Random(0), 20), 9),
+        (grid_graph(4, 5), 10),
+    ]
+    for g, rank in cases:
+        assert lower_bound_max_rank(g) == rank
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(2, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@given(_small_graphs())
+def test_one_measurement_lowers_each_cut_rank_by_at_most_one(g):
+    # the lemma behind the search's cut-rank prune: a measured graph is a
+    # vertex-minor, and deleting a vertex costs any cut rank at most 1
+    for v in range(g.n):
+        for basis in ("z", "y", "x"):
+            h = measure_via_lc(g, v, basis)
+            for a_mask in range(1, g.vertex_mask()):
+                if a_mask >> v & 1:
+                    continue
+                rank = entanglement._cross_rank(g, a_mask)
+                # x at an isolated vertex leaves the graph as it is
+                if h.n == g.n:
+                    a_h = a_mask
+                else:
+                    a_h = entanglement._delete_bit(a_mask, v)
+                    assert entanglement._insert_bit(a_h, v) == a_mask
+                assert entanglement._cross_rank(h, a_h) in (rank, rank - 1)
 
 
 def test_lower_bound_scan_cap():
@@ -243,15 +317,48 @@ def test_bounds_odd_ring_gap():
 
 
 def test_persistency_odd_rings():
-    # gap cases above n = 7: only the node cap bounds the search
-    for n in (9, 11):
+    # gap cases above n = 7, settled by the cut-rank prune
+    for n in range(9, 21, 2):
         assert pauli_persistency(cycle_graph(n)) == (n + 1) // 2
 
 
-def test_persistency_node_cap():
-    # G(12, 0.35) with lower 6 and cover 7: the search would run for minutes
+def test_persistency_of_a_gap_graph_at_twelve_vertices():
+    # G(12, 0.35) with lower 6 and cover 7; without the cut-rank prune the
+    # search reaches the node cap
     g = parse_graph6("KVp`qtKGUrkO")
     assert (lower_bound_max_rank(g), min_vertex_cover(g).bit_count()) == (6, 7)
+    assert pauli_persistency(g) == 7
+
+
+def test_search_carries_refuting_sets_to_later_siblings(monkeypatch):
+    # a set of cut rank above a child's budget is tried on that child's later
+    # siblings before the kernel runs for them; here it refutes more nodes
+    # than the kernel does (without it, the kernel runs over twice as often)
+    kernel_calls = 0
+    carried = 0
+    real_kernel = entanglement._full_rank_split
+    real_rank = entanglement._cross_rank
+
+    def counting_kernel(rows, n, k):
+        nonlocal kernel_calls
+        kernel_calls += 1
+        return real_kernel(rows, n, k)
+
+    def counting_rank(g, a_mask):
+        nonlocal carried
+        rank = real_rank(g, a_mask)
+        carried += rank == a_mask.bit_count()
+        return rank
+
+    monkeypatch.setattr(entanglement, "_full_rank_split", counting_kernel)
+    monkeypatch.setattr(entanglement, "_cross_rank", counting_rank)
+    assert pauli_persistency(parse_graph6("KVp`qtKGUrkO")) == 7
+    assert 0 < kernel_calls < carried
+
+
+def test_persistency_node_cap():
+    g = random_connected_graph(random.Random(0), 20, 0.35)
+    assert (lower_bound_max_rank(g), min_vertex_cover(g).bit_count()) == (10, 12)
     with pytest.raises(CapExceeded, match=str(SEARCH_NODE_CAP)):
         pauli_persistency(g)
 

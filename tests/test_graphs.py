@@ -152,6 +152,34 @@ def test_min_vertex_cover_against_brute_force():
         assert greedy_vertex_cover(g).bit_count() >= mask.bit_count()
 
 
+def _reference_greedy_cover(g):
+    """Take the first vertex of maximal degree, by a fresh scan each round."""
+    rows = list(g.rows)
+    cover = 0
+    while True:
+        v = max(range(g.n), key=lambda u: rows[u].bit_count(), default=None)
+        if v is None or rows[v] == 0:
+            return cover
+        cover |= 1 << v
+        for w in bits_of(rows[v]):
+            rows[w] &= ~(1 << v)
+        rows[v] = 0
+
+
+def test_greedy_cover_matches_the_rescanning_rule():
+    rng = random.Random(6)
+    graphs = [empty_graph(0), empty_graph(1), empty_graph(5), star_graph(6), complete_graph(7)]
+    for _ in range(300):
+        n = rng.randrange(2, 21)
+        p = rng.random()
+        graphs.append(from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                     if rng.random() < p]))
+    for g in graphs:
+        mask = greedy_vertex_cover(g)
+        assert mask == _reference_greedy_cover(g), g.rows
+        assert is_vertex_cover(g, mask)
+
+
 def test_is_vertex_cover_checks_every_edge():
     p4 = path_graph(4)
     assert not is_vertex_cover(p4, [0, 3])  # edge 1-2 uncovered

@@ -386,7 +386,7 @@ def test_classify_computes_no_cover_of_its_own(monkeypatch):
     assert "min_vertex_cover" not in vars(orbits)
     monkeypatch.setattr(entanglement, "min_vertex_cover", counting)
     orbits.classify(6)
-    assert calls == 180  # from the bounds; 322 with an exact cover per member
+    assert calls == 19  # one per class representative, from its bounds
 
 
 @pytest.mark.parametrize("name, varying, message", [
