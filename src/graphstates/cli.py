@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage or parse error, 2 size cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -244,7 +245,11 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: it keeps no state
+    between parse_args calls, and building it costs more than a small
+    command's work."""
     p = _Parser(prog="graphstates",
                 description="Graph-state entanglement bounds, measurement "
                             "rewrites, and local-complementation orbits.")

@@ -498,51 +498,137 @@ def twin_reps(rows: tuple[int, ...]) -> list[int]:
     return reps
 
 
-def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
-    """Lexicographically minimal relabeling of g plus a witnessing permutation.
+def _refine(rows: tuple[int, ...], cells: list[int], fresh: list[int]) -> list[int]:
+    """The coarsest equitable refinement of an ordered partition.
 
-    Minimality is over the upper-triangle adjacency bit-string read column by
-    column; the witness maps canonical position i to original vertex perm[i].
+    cells are disjoint vertex masks in order, equitable with respect to all
+    but the cells in fresh.  Each round splits every cell by its vertices'
+    neighbour counts into the fresh cells, the parts taking the cell's place
+    in the order of their counts; the parts are the next round's fresh
+    cells, and counts into any other cell are already equal across each
+    cell.  Counts and their order depend only on the graph and the cells,
+    never on the labels, and singletons keep their places.
+    """
+    base = len(rows) + 1
+    while fresh:
+        out = []
+        split = []
+        for cell in cells:
+            if cell & (cell - 1):
+                parts: dict[int, int] = {}
+                m = cell
+                while m:
+                    low = m & -m
+                    m ^= low
+                    r = rows[low.bit_length() - 1]
+                    key = 0
+                    for c in fresh:
+                        key = key * base + (r & c).bit_count()
+                    parts[key] = parts.get(key, 0) | low
+                if len(parts) > 1:
+                    parts = [parts[k] for k in sorted(parts)]
+                    out += parts
+                    split += parts
+                    continue
+            out.append(cell)
+        cells, fresh = out, split
+    return cells
+
+
+def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
+    """A canonical relabeling of g plus a witnessing permutation.
+
+    Isomorphic graphs get equal canonical graphs, and the witness maps
+    canonical position i to original vertex perm[i].  The form is found by
+    individualization-refinement with automorphism pruning (McKay &
+    Piperno, J. Symb. Comp. 60, 2014): refine the vertex partition to an
+    equitable one (_refine), individualize each vertex of its first smallest
+    cell that is not one twin class in turn, and recurse.  A node whose
+    cells are all singletons or twin classes is a leaf: its order relabels g
+    the same whichever way the twins go.  The certificate of a leaf is its
+    relabelled row tuple, and the least certificate wins.  Two leaves with
+    one certificate give an automorphism; the search then drops the rest of
+    the later leaf's branch below the node where the two paths part, and
+    skips any child in the orbit of an explored sibling under the twin
+    swaps and the automorphisms found so far that fix the path to it.
     """
     if g.n > CANONICAL_CAP:
         raise CapExceeded(f"canonical_form capped at n<={CANONICAL_CAP}, got n={g.n}")
-    # Depth-first search over vertex orders.  Column k of the candidate is the
-    # adjacency of the k-th placed vertex to those placed before it; only the
-    # vertices with the minimal next column can lead to the minimum, so only
-    # ties branch, and among tied twins (twin_reps) one stands for all.
     rows = g.rows
+    n = g.n
     reps = twin_reps(rows)
-    best: list[int] | None = None
+    twins = [0] * n  # twins[v]: mask of v's twin class
+    for v, u in enumerate(reps):
+        twins[u] |= 1 << v
+    for v, u in enumerate(reps):
+        twins[v] = twins[u]
+    leaves: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+    autos: list[list[int]] = []
+    best: tuple[int, ...] | None = None
     best_order: list[int] = []
-    cur: list[int] = []
-    order: list[int] = []
 
-    def search(cols: dict[int, int]) -> None:
+    def search(cells: list[int], path: list[int]) -> int:
+        """Explore a node; return the depth at which the search resumes."""
         nonlocal best, best_order
-        if not cols:
-            if best is None or cur < best:
-                best, best_order = cur[:], order[:]
-            return
-        k = len(cur)
-        m = min(cols.values())
-        # a prefix is never above the incumbent's: it was checked one level up
-        if best is not None and m > best[k] and cur == best[:k]:
-            return
-        cur.append(m)
-        branched = set()  # twin classes already branched on at this node
-        for v, c in cols.items():
-            if c != m or reps[v] in branched:
+        target = 0
+        for cell in cells:
+            if cell & ~twins[(cell & -cell).bit_length() - 1] and (
+                    not target or cell.bit_count() < target.bit_count()):
+                target = cell
+        if not target:
+            order = [v for cell in cells for v in bits_of(cell)]
+            moved = {1 << v: 1 << i for i, v in enumerate(order)}
+            cert = []
+            for v in order:
+                r = rows[v]
+                x = 0
+                while r:
+                    low = r & -r
+                    x |= moved[low]
+                    r ^= low
+                cert.append(x)
+            cert = tuple(cert)
+            if cert not in leaves:
+                leaves[cert] = (path, order)
+                if best is None or cert < best:
+                    best, best_order = cert, order
+                return n
+            first_path, first_order = leaves[cert]
+            auto = [0] * n
+            for u, v in zip(first_order, order):
+                auto[u] = v
+            autos.append(auto)
+            depth = 0  # where the two paths part: the later branch repeats the first
+            while first_path[depth] == path[depth]:
+                depth += 1
+            return depth
+        depth = len(path)
+        at = cells.index(target)
+        explored = 0  # explored children and their images under the stabilizer
+        for v in bits_of(target):
+            if explored >> v & 1:
                 continue
-            branched.add(reps[v])
-            order.append(v)
-            r = rows[v]
-            search({u: cu << 1 | (r >> u & 1) for u, cu in cols.items() if u != v})
-            order.pop()
-        cur.pop()
+            bit = 1 << v
+            child = cells[:at] + [bit, target ^ bit] + cells[at + 1:]
+            resume = search(_refine(rows, child, [bit]), path + [v])
+            if resume < depth:
+                return resume
+            explored |= bit
+            gens = [a for a in autos if all(a[p] == p for p in path)]
+            while True:
+                grown = explored
+                for u in bits_of(explored):
+                    grown |= twins[u] & target
+                    for a in gens:
+                        grown |= 1 << a[u]
+                if grown == explored:
+                    break
+                explored = grown
+        return depth
 
-    search(dict.fromkeys(range(g.n), 0))
-    perm = tuple(best_order)
-    return relabel(g, perm), perm
+    cells = [g.vertex_mask()] if n else []
+    search(_refine(rows, cells, cells), [])
+    return _graph(n, best), tuple(best_order)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

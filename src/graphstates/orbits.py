@@ -18,7 +18,11 @@ The classifier lists the classes of connected graphs under local
 complementation plus isomorphism up to a vertex cap, level by level: every
 class on n vertices holds a one-vertex extension of a class representative
 on n - 1 vertices (see _lc_classes), and a walk over canonical forms of
-local complements from each new extension lists its members.  The walk
+local complements from each new extension lists its members.  A canonical
+form (graphs.canonical_form) is one fixed labelling per isomorphism class,
+found by individualization-refinement, so a set of them holds each
+isomorphism class once; which labelling it is fixes the representatives
+that the JSON and DOT outputs print, but not the classes.  The walk
 skips the complements that cannot give a new member: at a vertex of degree
 at most 1 (the graph itself) and at any but the least vertex of a twin set
 (an isomorphic image; see graphs.twin_reps).  Each class record is built
@@ -63,7 +67,7 @@ from .stabilizer import (
 )
 
 ORBIT_LIMIT_DEFAULT = 10 ** 6
-CLASSIFY_CAP = 8
+CLASSIFY_CAP = 9
 
 
 def _lc_neighbor_rows(rows: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
@@ -269,8 +273,9 @@ def _lc_classes(n_max: int) -> list[list[Graph]]:
     class take G to a member of its own class that extends that
     representative by one vertex.  Extending every representative by every
     nonempty neighbourhood therefore meets every class; a walk over the
-    canonical forms of local complements from each unseen candidate lists
-    its class.  A class's first member represents it at the next level.
+    canonical forms (graphs.canonical_form) of local complements from each
+    unseen candidate lists its class, one canonical form per isomorphism
+    class.  A class's first member represents it at the next level.
 
     Local complementation generates the orbit (Van den Nest, Dehaene & De
     Moor, PRA 69, 022316, 2004), but two kinds of complement add nothing:
@@ -325,7 +330,10 @@ def classify(n_max: int) -> list[ClassRecord]:
     with the least (edges, graph6), the lower bound and rank indices must
     agree on every member, and persistency is searched on the representative
     alone.  Records sort by (vertices, minimum edges, lower, upper, rank
-    indices) which makes tabulated orderings reproducible.
+    indices, class size, representative).  Up to n = 8 no two classes tie
+    before the representative, so the order of the table does not depend
+    on how canonical_form labels graphs; at n = 9 seven pairs of classes
+    still tie, and their representatives order them.
     """
     if n_max > CLASSIFY_CAP:
         raise CapExceeded(f"classification capped at n_max<={CLASSIFY_CAP}")
@@ -349,7 +357,8 @@ def classify(n_max: int) -> list[ClassRecord]:
             has_two_colorable_member=any(two_coloring(g) is not None for g in members),
         ))
     records.sort(key=lambda r: (r.n_vertices, r.n_edges, r.lower, r.upper,
-                                r.ri_3 or (), r.ri_2 or (), r.representative))
+                                r.ri_3 or (), r.ri_2 or (), r.member_count,
+                                r.representative))
     return [replace(r, class_id=i) for i, r in enumerate(records, 1)]
 
 

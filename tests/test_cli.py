@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import graphstates
-from graphstates import measurement, oracle
+from graphstates import cli, measurement, oracle
 from graphstates.cli import main
 from graphstates.graphs import cycle_graph, empty_graph, star_graph, to_graph6
+from graphstates.orbits import CSV_HEADER
 
 
 def test_bounds_single_edge(capsys):
@@ -55,6 +56,30 @@ def test_parse_failure_exits_one(capsys):
 
 def test_usage_error_exits_one(capsys):
     assert main(["bounds"]) == 1
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    # main builds its parser once; a usage error leaves it fit for the next call
+    argvs = [["bounds", "A_", "--depth-limit", "x"], ["bounds", to_graph6(cycle_graph(5))],
+             ["classify", "3"]]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli._build_parser.cache_clear()
+    shared = [run(argv) for argv in argvs]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 0, 0]
+    assert shared[0][2] == "usage error: argument --depth-limit: invalid int value: 'x'\n"
+    assert "lower=2 upper=3" in shared[1][1]
+    assert shared[2][1].startswith(CSV_HEADER)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -104,6 +129,24 @@ def test_classify_json(capsys):
     data = json.loads(capsys.readouterr().out)
     assert len(data) == 4
     assert data[3]["RI_2"] == [2, 1]
+
+
+def test_classify_json_for_five_vertices_is_pinned(capsys):
+    # the representatives are canonical forms, so this pins canonical_form's labelling
+    assert main(["classify", "5", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [tuple(d.values()) for d in data] == [
+        (1, 1, 2, 1, 1, 1, None, None, True, "A_"),
+        (2, 2, 3, 2, 1, 1, None, None, True, "BW"),
+        (3, 2, 4, 3, 1, 1, None, [0, 3], True, "CF"),
+        (4, 4, 4, 3, 2, 2, None, [2, 1], True, "CL"),
+        (5, 2, 5, 4, 1, 1, None, [0, 10], True, "D?{"),
+        (6, 6, 5, 4, 2, 2, None, [6, 4], True, "D@s"),
+        (7, 10, 5, 4, 2, 2, None, [8, 2], True, "DBg"),
+        (8, 3, 5, 5, 2, 3, None, [10, 0], False, "DLo"),
+    ]
+    assert list(data[0]) == ["no", "class_size", "n_vertices", "n_edges", "lower", "upper",
+                             "RI_3", "RI_2", "two_colorable", "representative"]
 
 
 def test_measure_star_center(capsys):

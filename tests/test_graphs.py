@@ -8,6 +8,7 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from graphstates.graphs import (
     CANONICAL_CAP,
@@ -262,15 +263,24 @@ def _brute_canonical(g):
 
 
 def test_canonical_form_matches_brute_force():
+    # forms are equal exactly when the n! oracle's least forms are, they do
+    # not move under relabelling, and the witness relabels g onto its form
     rng = random.Random(7)
     graphs = [random_connected_graph(rng, rng.randrange(4, 8)) for _ in range(50)]
     graphs += [random_connected_graph(rng, 8) for _ in range(5)]
     graphs += [complete_graph(6), cycle_graph(7), star_graph(7), empty_graph(7),
                cycle_graph(8), star_graph(8), grid_graph(2, 4)]
+    forms, oracle = [], []
     for g in graphs:
         canon, perm = canonical_form(g)
-        assert canon.rows == _brute_canonical(g)[0]
         assert relabel(g, perm).rows == canon.rows
+        for _ in range(3):
+            assert canonical_form(relabel(g, rng.sample(range(g.n), g.n)))[0] == canon
+        forms.append(canon)
+        oracle.append(_brute_canonical(g)[0])
+    for (f, o), (f2, o2) in itertools.combinations(zip(forms, oracle), 2):
+        assert (f == f2) == (o == o2)
+    assert len(set(oracle)) < len(graphs)  # some pairs are isomorphic
 
 
 def _nx_graph(g):
@@ -280,18 +290,54 @@ def _nx_graph(g):
     return h
 
 
+@st.composite
+def _graph_pair(draw):
+    """A graph on n <= 9 vertices, random or circulant (vertex-transitive,
+    so the search meets many automorphisms), and a relabelling of it with
+    up to two vertex pairs toggled."""
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    else:
+        jumps = draw(st.sets(st.integers(1, max(n // 2, 1))))
+        g = from_edges(n, {tuple(sorted((i, (i + j) % n)))
+                           for i in range(n) for j in jumps if j % n})
+    h = relabel(g, draw(st.permutations(range(n))))
+    if pairs:
+        for a, b in draw(st.lists(st.sampled_from(pairs), max_size=2, unique=True)):
+            h = toggle_edge(h, a, b)
+    return g, h
+
+
+@given(_graph_pair())
+def test_canonical_form_agrees_with_networkx_isomorphism(pair):
+    g, h = pair
+    same = canonical_form(g)[0] == canonical_form(h)[0]
+    assert same == nx.is_isomorphic(_nx_graph(g), _nx_graph(h))
+
+
 def test_canonical_form_on_symmetric_graphs_at_the_cap():
     n = CANONICAL_CAP
     matching = [(2 * i, 2 * i + 1) for i in range(n // 2)]
     two_rings = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
     cocktail_party = [(i, j) for j in range(n) for i in range(j) if (i, j) not in matching]
+    # regular, so refinement cannot split the root cell, with vertex orbits
+    # of sizes 2, 4 and 4: the search must reach a vertex of every orbit
+    cubic = [(0, 5), (0, 6), (0, 7), (1, 4), (1, 5), (1, 7), (2, 3), (2, 4), (2, 6), (3, 7),
+             (3, 8), (4, 9), (5, 8), (6, 9), (8, 9)]
+    sextic = [(0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (1, 4), (1, 6),
+              (1, 9), (2, 4), (2, 5), (2, 7), (2, 9), (3, 5), (3, 7), (3, 8), (3, 9), (4, 5),
+              (4, 7), (4, 8), (4, 9), (5, 6), (5, 8), (6, 7), (6, 8), (6, 9), (7, 8), (8, 9)]
     rng = random.Random(10)
     for g in (complete_graph(n), empty_graph(n), star_graph(n), petersen_graph(),
-              from_edges(n, matching), from_edges(n, two_rings), from_edges(n, cocktail_party)):
+              from_edges(n, matching), from_edges(n, two_rings), from_edges(n, cocktail_party),
+              from_edges(n, cubic), from_edges(n, sextic)):
         canon, perm = canonical_form(g)
         assert relabel(g, perm).rows == canon.rows
         assert nx.is_isomorphic(_nx_graph(canon), _nx_graph(g))
-        for _ in range(3):
+        for _ in range(10):
             assert canonical_form(relabel(g, rng.sample(range(n), n)))[0].rows == canon.rows
     with pytest.raises(CapExceeded):
         canonical_form(complete_graph(n + 1))

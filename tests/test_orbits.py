@@ -277,7 +277,7 @@ def test_classify_six_vertices_has_nineteen_classes():
 
 def test_classify_rejects_oversized_cap():
     with pytest.raises(CapExceeded):
-        orbits.classify(9)
+        orbits.classify(orbits.CLASSIFY_CAP + 1)
 
 
 def test_records_render_csv_json_dot():
@@ -305,6 +305,26 @@ def test_classes_cover_every_connected_graph(lc_classes7, connected_classes):
 def test_csv_matches_the_frozen_classify7_table(classification7):
     records = classification7
     assert orbits.records_to_csv(records).encode() == (REFERENCE / "classify7.csv").read_bytes()
+
+
+def test_table_order_does_not_rest_on_the_representative(classification7):
+    # the sort key short of the representative tells every class apart, so
+    # the table's order does not depend on how canonical_form labels graphs
+    keys = [(r.n_vertices, r.n_edges, r.lower, r.upper, r.ri_3, r.ri_2, r.member_count)
+            for r in classification7]
+    assert len(set(keys)) == len(keys) == 45
+
+
+def test_representatives_up_to_seven_vertices_are_pinned(classification7):
+    # each is the least (edges, graph6) canonical form of its class, so a
+    # change to the labelling canonical_form picks shows here
+    assert [r.representative for r in classification7] == [
+        "A_", "BW", "CF", "CL", "D?{", "D@s", "DBg", "DLo",
+        "E?Bw", "E?Fg", "E?NG", "E?NO", "E@QW", "E@U_", "E?]o", "E@UW", "E@V_", "EBj?",
+        "ELv_",
+        "F??Fw", "F??Ng", "F??^G", "F??^O", "F??}O", "F?CeW", "F?CmG", "F?Cm_", "F?HSo",
+        "F@Q?w", "F?LT?", "F??}o", "F?CmW", "F?Cn_", "F?H[o", "F?Dl_", "F@DKW", "F?LTG",
+        "F?LV?", "F@UBG", "F@Ue?", "FBHKW", "F@Q^?", "F?]u_", "F@U^?", "F@Tn_"]
 
 
 def test_class_counts_match_a090899(classification7):
