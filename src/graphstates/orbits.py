@@ -3,14 +3,16 @@ classification of connected graphs under local complementation plus
 isomorphism.
 
 A labeled orbit is the closure of a graph under complementing vertex
-neighborhoods; lc_orbit lists it by breadth-first search.  Whether two
-labeled graphs share an orbit (equivalently, whether their graph states are
-local-Clifford equivalent) is decided without the orbit, by a linear system
-over GF(2) for the binary part of a local Clifford (Van den Nest, Dehaene &
-De Moor, PRA 70, 034302, 2004).  Its kernel is searched with Bouchet's lemma
-(Combinatorica 11, 1991): for connected graphs with a kernel of dimension
-above 4, an invertible solution exists only if a basis vector or a sum of two
-basis vectors is one.  LC never moves a vertex to another component, so
+neighborhoods; lc_orbit lists it by breadth-first search on packed keys,
+one int per graph holding its rows, where the complement at a is one xor
+with a mask built once per neighbourhood N(a) (see _orbit_rows).  Whether
+two labeled graphs share an orbit (equivalently, whether their graph states
+are local-Clifford equivalent) is decided without the orbit, by a linear
+system over GF(2) for the binary part of a local Clifford (Van den Nest,
+Dehaene & De Moor, PRA 70, 034302, 2004).  Its kernel is searched with
+Bouchet's lemma (Combinatorica 11, 1991): for connected graphs with a kernel
+of dimension above 4, an invertible solution exists only if a basis vector
+or a sum of two basis vectors is one.  LC never moves a vertex to another component, so
 disconnected graphs are compared component by component.  The test returns a
 LocalClifford witness, checked against the stabilizer groups of both graphs.
 
@@ -70,76 +72,81 @@ ORBIT_LIMIT_DEFAULT = 10 ** 6
 CLASSIFY_CAP = 9
 
 
-def _lc_neighbor_rows(rows: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
-    out = []
-    for a in range(n):
-        nb = rows[a]
-        if nb == 0 or (nb & (nb - 1)) == 0:
-            continue  # degree <= 1 complements nothing
-        new = list(rows)
-        m = nb
-        while m:
-            low = m & -m
-            new[low.bit_length() - 1] ^= nb ^ low
-            m ^= low
-        out.append(tuple(new))
-    return out
+def _orbit_rows(g: Graph, limit: int, relabel: bool = False) -> set[int]:
+    """The packed keys of every graph reachable from g by local
+    complementations, and by swaps of adjacent labels too if relabel,
+    listed by breadth-first search.
 
-
-def _orbit_rows(g: Graph, limit: int) -> set[tuple[int, ...]]:
-    """BFS closure under local complementation on raw adjacency tuples."""
-    seen = {g.rows}
-    frontier = [g.rows]
+    A key holds row b of the adjacency in bits n*(n-1-b) .. n*(n-b)-1, so
+    row 0 is the highest and keys order as row tuples do.  Complementing
+    at a flips, in every row b in N(a), the bits of N(a) other than b: one
+    xor with a mask that depends on N(a) alone, built the first time the
+    walk meets N(a).  The mask is 0 at degree <= 1, where the image is the
+    key itself and is skipped.  Swapping labels i and i+1 exchanges bits i
+    and i+1 of every row, then rows i and i+1.  CapExceeded once more than
+    limit keys are seen.
+    """
     n = g.n
+    full = (1 << n) - 1
+    shifts = [n * (n - 1 - b) for b in range(n)]
+    start = sum(r << s for r, s in zip(g.rows, shifts))
+    flips: dict[int, int] = {}
+    column = sum(1 << s for s in shifts)  # bit 0 of every row
+    swaps = [(column << i, full << shifts[i + 1]) for i in range(n - 1)] if relabel else []
+    what = "closure" if relabel else "orbit"
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
-        for rows in frontier:
-            for t in _lc_neighbor_rows(rows, n):
-                if t in seen:
-                    continue
-                seen.add(t)
-                nxt.append(t)
-                if len(seen) > limit:
-                    raise CapExceeded(f"orbit exceeded {limit} members")
-        frontier = nxt
-    return seen
-
-
-def lc_orbit(g: Graph, limit: int = ORBIT_LIMIT_DEFAULT) -> list[Graph]:
-    """All labeled graphs reachable by local complementations, sorted."""
-    rows_set = _orbit_rows(g, limit)
-    return [_graph(g.n, rows) for rows in sorted(rows_set)]
-
-
-def _swap_labels(rows: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
-    out = list(rows)
-    out[i], out[j] = out[j], out[i]
-    for k, r in enumerate(out):
-        bi = (r >> i) & 1
-        bj = (r >> j) & 1
-        if bi != bj:
-            out[k] = r ^ ((1 << i) | (1 << j))
-    return tuple(out)
-
-
-def lc_closure_with_relabelings(g: Graph, limit: int = ORBIT_LIMIT_DEFAULT) -> list[Graph]:
-    """Closure under local complementation *and* vertex permutations."""
-    seen = {g.rows}
-    frontier = [g.rows]
-    n = g.n
-    while frontier:
-        nxt = []
-        for rows in frontier:
-            neighbors = _lc_neighbor_rows(rows, n)
-            neighbors.extend(_swap_labels(rows, i, i + 1) for i in range(n - 1))
-            for t in neighbors:
+        for key in frontier:
+            for s in shifts:
+                nb = key >> s & full
+                flip = flips.get(nb)
+                if flip is None:
+                    flip = 0
+                    for b in bits_of(nb):
+                        flip |= (nb ^ 1 << b) << shifts[b]
+                    flips[nb] = flip
+                t = key ^ flip
+                if flip and t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+                    if len(seen) > limit:
+                        raise CapExceeded(f"{what} exceeded {limit} members")
+            for bits, row in swaps:
+                d = (key ^ key >> 1) & bits  # bit i differs from bit i+1
+                t = key ^ d ^ d << 1
+                d = (t ^ t >> n) & row  # row i+1 differs from row i
+                t ^= d ^ d << n
                 if t not in seen:
                     seen.add(t)
                     nxt.append(t)
                     if len(seen) > limit:
-                        raise CapExceeded(f"closure exceeded {limit} members")
+                        raise CapExceeded(f"{what} exceeded {limit} members")
         frontier = nxt
-    return [_graph(g.n, rows) for rows in sorted(seen)]
+    return seen
+
+
+def _graphs_of(keys: list[int], n: int) -> list[Graph]:
+    """Replace each key of keys, in place, by its Graph.  Equal rows share
+    one int object, so a long orbit holds each distinct row once."""
+    full = (1 << n) - 1
+    shifts = [n * (n - 1 - b) for b in range(n)]
+    intern = {}.setdefault
+    for i, key in enumerate(keys):
+        rows = [key >> s & full for s in shifts]
+        keys[i] = _graph(n, tuple(map(intern, rows, rows)))
+    return keys
+
+
+def lc_orbit(g: Graph, limit: int = ORBIT_LIMIT_DEFAULT) -> list[Graph]:
+    """All labeled graphs reachable by local complementations, sorted."""
+    return _graphs_of(sorted(_orbit_rows(g, limit)), g.n)
+
+
+def lc_closure_with_relabelings(g: Graph, limit: int = ORBIT_LIMIT_DEFAULT) -> list[Graph]:
+    """Closure under local complementation *and* vertex permutations, sorted."""
+    return _graphs_of(sorted(_orbit_rows(g, limit, relabel=True)), g.n)
 
 
 def _lc_system(g: Graph, h: Graph) -> set[int]:
@@ -261,6 +268,7 @@ class ClassRecord:
     ri_3: tuple[int, ...] | None
     ri_2: tuple[int, ...] | None
     has_two_colorable_member: bool
+    edge_histogram: tuple[int, ...]  # entry e: members with e edges
 
 
 def _lc_classes(n_max: int) -> list[list[Graph]]:
@@ -330,10 +338,11 @@ def classify(n_max: int) -> list[ClassRecord]:
     with the least (edges, graph6), the lower bound and rank indices must
     agree on every member, and persistency is searched on the representative
     alone.  Records sort by (vertices, minimum edges, lower, upper, rank
-    indices, class size, representative).  Up to n = 8 no two classes tie
-    before the representative, so the order of the table does not depend
-    on how canonical_form labels graphs; at n = 9 seven pairs of classes
-    still tie, and their representatives order them.
+    indices, class size, members by edge count, representative).  Up to
+    n = 9 no two classes tie before the representative, so the order of the
+    table does not depend on how canonical_form labels graphs.  Up to n = 8
+    the class size already tells every tie apart; at n = 9 seven pairs of
+    classes need the edge counts of their members.
     """
     if n_max > CLASSIFY_CAP:
         raise CapExceeded(f"classification capped at n_max<={CLASSIFY_CAP}")
@@ -342,6 +351,9 @@ def classify(n_max: int) -> list[ClassRecord]:
     records = []
     for members in _lc_classes(n_max):
         rep = min(members, key=lambda g: (g.edge_count, to_graph6(g)))
+        histogram = [0] * (rep.n * (rep.n - 1) // 2 + 1)
+        for g in members:
+            histogram[g.edge_count] += 1
         records.append(ClassRecord(
             class_id=0,  # numbered after the sort
             representative=to_graph6(rep),
@@ -355,10 +367,11 @@ def classify(n_max: int) -> list[ClassRecord]:
             ri_2=_constant(members, lambda g: rank_index(g, 2).counts, "ri_2")
             if rep.n >= 4 else None,
             has_two_colorable_member=any(two_coloring(g) is not None for g in members),
+            edge_histogram=tuple(histogram),
         ))
     records.sort(key=lambda r: (r.n_vertices, r.n_edges, r.lower, r.upper,
                                 r.ri_3 or (), r.ri_2 or (), r.member_count,
-                                r.representative))
+                                r.edge_histogram, r.representative))
     return [replace(r, class_id=i) for i, r in enumerate(records, 1)]
 
 

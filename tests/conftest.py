@@ -3,7 +3,15 @@ from hypothesis import settings
 
 from graphstates import orbits
 from graphstates.entanglement import _cross_rank
-from graphstates.graphs import Graph, _add_vertex, canonical_form, is_connected, to_graph6
+from graphstates.graphs import (
+    Graph,
+    _add_vertex,
+    canonical_form,
+    is_connected,
+    local_complement,
+    relabel,
+    to_graph6,
+)
 
 # One profile for every property test: the same examples on every run, no
 # per-example deadline on a shared host, and a bounded example count.
@@ -78,3 +86,29 @@ def rank_list_fingerprint():
             out.append((min(size, g.n - size), _cross_rank(g, a_mask)))
         return tuple(sorted(out))
     return fingerprint
+
+
+@pytest.fixture(scope="session")
+def reference_walk():
+    """The orbit of g under local complementation, and under adjacent label
+    swaps too if relabel_too, by a plain breadth-first search over Graph values
+    (graphs.local_complement, graphs.relabel), sorted by row tuple."""
+    def walk(g, relabel_too=False):
+        seen = {g}
+        frontier = [g]
+        while frontier:
+            nxt = []
+            for h in frontier:
+                images = [local_complement(h, a) for a in range(h.n)]
+                if relabel_too:
+                    for i in range(h.n - 1):
+                        perm = list(range(h.n))
+                        perm[i], perm[i + 1] = i + 1, i
+                        images.append(relabel(h, perm))
+                for x in images:
+                    if x not in seen:
+                        seen.add(x)
+                        nxt.append(x)
+            frontier = nxt
+        return sorted(seen, key=lambda x: x.rows)
+    return walk

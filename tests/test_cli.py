@@ -195,6 +195,15 @@ def test_orbit_star(capsys):
     assert len(lines) == 6
 
 
+def test_orbit_prints_the_graph6_lines_of_a_plain_walk(capsys, reference_walk):
+    g = cycle_graph(5)
+    for flags, relabel_too in (([], False), (["--with-isomorphisms"], True)):
+        assert main(["orbit", to_graph6(g), *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [to_graph6(h) for h in reference_walk(g, relabel_too)]
+        assert len(lines) == 132
+
+
 def test_orbit_limit_exits_two(capsys):
     assert main(["orbit", to_graph6(cycle_graph(7)), "--orbit-limit", "5"]) == 2
 

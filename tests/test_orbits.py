@@ -8,7 +8,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from graphstates import entanglement, orbits
 from graphstates.entanglement import pauli_persistency
@@ -73,7 +73,7 @@ def test_single_edge_orbit_is_trivial():
 
 
 def test_star_orbits_have_m_plus_one_members():
-    for m in range(3, 9):
+    for m in (*range(3, 9), 70):  # at 70 a packed orbit key spans many machine words
         orb = orbits.lc_orbit(star_graph(m))
         assert len(orb) == m + 1
         kinds = {g.edge_count for g in orb}
@@ -97,6 +97,43 @@ def test_closure_with_relabelings_of_five_ring():
 def test_orbit_limit_raises():
     with pytest.raises(CapExceeded):
         orbits.lc_orbit(cycle_graph(7), limit=10)
+    # C5 has 132 members in its orbit and as many in its closure
+    g = cycle_graph(5)
+    assert len(orbits.lc_orbit(g, limit=132)) == 132
+    assert len(orbits.lc_closure_with_relabelings(g, limit=132)) == 132
+    with pytest.raises(CapExceeded, match="orbit exceeded 131 members"):
+        orbits.lc_orbit(g, limit=131)
+    with pytest.raises(CapExceeded, match="closure exceeded 131 members"):
+        orbits.lc_closure_with_relabelings(g, limit=131)
+
+
+@st.composite
+def _small_graph(draw, min_n=0):
+    n = draw(st.integers(min_n, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@given(g=_small_graph())
+@example(g=empty_graph(0))
+@example(g=empty_graph(1))
+@example(g=from_edges(8, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6), (6, 7)]))
+def test_orbit_matches_a_plain_walk_over_local_complements(reference_walk, g):
+    assert orbits.lc_orbit(g) == reference_walk(g)
+
+
+def test_closure_is_the_union_of_the_orbits_of_every_relabelling(reference_walk):
+    rng = random.Random(33)
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for p in (0.3, 0.6):
+            g = from_edges(n, [e for e in pairs if rng.random() < p])
+            union = {h for perm in itertools.permutations(range(n))
+                     for h in orbits.lc_orbit(relabel(g, perm))}
+            closure = orbits.lc_closure_with_relabelings(g)
+            assert closure == sorted(union, key=lambda h: h.rows)
+            assert closure == reference_walk(g, relabel_too=True)
 
 
 def test_lc_equivalent_basics():
@@ -197,12 +234,8 @@ def test_witness_for_a_cluster_state_beyond_the_orbit_walk():
 
 @st.composite
 def _graph_and_scramble(draw):
-    n = draw(st.integers(1, 8))
-    pairs = list(itertools.combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = from_edges(n, [e for e, k in zip(pairs, keep) if k])
-    h = g
-    for a in draw(st.lists(st.integers(0, n - 1), max_size=3 * n)):
+    g = h = draw(_small_graph(min_n=1))
+    for a in draw(st.lists(st.integers(0, g.n - 1), max_size=3 * g.n)):
         h = local_complement(h, a)
     return g, h
 
@@ -313,6 +346,36 @@ def test_table_order_does_not_rest_on_the_representative(classification7):
     keys = [(r.n_vertices, r.n_edges, r.lower, r.upper, r.ri_3, r.ri_2, r.member_count)
             for r in classification7]
     assert len(set(keys)) == len(keys) == 45
+
+
+def _lc_class(g):
+    """Canonical forms of the class of g under LC plus isomorphism, by a walk
+    over the canonical forms of local complements."""
+    members = [canonical_form(g)[0]]
+    seen = set(members)
+    for h in members:
+        for a in range(h.n):
+            image = canonical_form(local_complement(h, a))[0]
+            if image not in seen:
+                seen.add(image)
+                members.append(image)
+    return members
+
+
+def test_member_edge_counts_order_classes_that_tie_before_them(monkeypatch):
+    # two classes on 9 vertices with 120 members each that agree on every
+    # earlier key; H??WPFB has 1 member with 9 edges, H??GhVC has 3
+    first, second = (_lc_class(parse_graph6(g6)) for g6 in ("H??WPFB", "H??GhVC"))
+    for classes in ([first, second], [second, first]):
+        monkeypatch.setattr(orbits, "_lc_classes", lambda n_max: classes)
+        records = orbits.classify(9)
+        assert [r.representative for r in records] == ["H??WPFB", "H??GhVC"]
+    a, b = records
+    keys = [(r.n_vertices, r.n_edges, r.lower, r.upper, r.ri_3, r.ri_2, r.member_count)
+            for r in records]
+    assert keys[0] == keys[1]
+    assert a.edge_histogram[9] == 1 and b.edge_histogram[9] == 3
+    assert sum(a.edge_histogram) == sum(b.edge_histogram) == a.member_count == 120
 
 
 def test_representatives_up_to_seven_vertices_are_pinned(classification7):
