@@ -94,15 +94,23 @@ class Graph:
             raise IndexError(f"vertex {a} out of range for n={self.n}")
 
 
+# Bound once for _graph, which runs once per orbit member.  Writing the
+# instance __dict__ instead gives every Graph a dict object of its own (64
+# bytes more a Graph on CPython 3.11), and it is no faster once the graphs
+# are kept, as lc_orbit keeps them.
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
 def _graph(n: int, rows: tuple[int, ...]) -> Graph:
     """Graph from rows known to be valid, without running __post_init__.
 
     Only for graphs derived from an already valid Graph; outside input goes
     through Graph(n, rows).
     """
-    g = object.__new__(Graph)
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "rows", rows)
+    g = _new_object(Graph)
+    _set_field(g, "n", n)
+    _set_field(g, "rows", rows)
     return g
 
 

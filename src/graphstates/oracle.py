@@ -6,9 +6,22 @@ state reshaped to (2,)*n is qubit v.
 
 graph_state computes the definition of the graph state, the controlled-Z
 circuit on the uniform superposition: the amplitude of basis state x is
-(-1)^(number of edges with both ends in x) / 2^(n/2).  It reads only the
-adjacency rows and uses no graph rule (measurement, local complementation,
-stabilizer), so the checks built on it stay independent of those rules.
+(-1)^(x^T U x) / 2^(n/2), where U is the strict upper adjacency, so x^T U x
+counts the edges with both ends in x.  The form is evaluated for all x at
+once by splitting x into two halves of at most six vertices each (see
+graph_state), so no bit table has more than 2^6 rows.
+
+apply_local_clifford splits a local Clifford into its monomial sites, whose
+matrices are a bit flip times a phase (I, X, Y, Z, S, S^dagger and two
+more), and the rest.  The monomial sites act together as one index xor and
+one phase i^k per amplitude; each other site is a 2x2 product on its axis.
+The monomial table is read off CLIFFORD_MATRICES at import.
+
+The oracle reads a graph only through its adjacency rows and a local
+Clifford only through CLIFFORD_MATRICES.  It uses no graph rule
+(measurement, local complementation) and none of the symbolic stabilizer
+tables (axis images, composition), so the checks built on it stay
+independent of the rules they check.
 """
 
 from __future__ import annotations
@@ -45,6 +58,39 @@ _PROJECTORS = {
 }
 
 _PARITY_SIGN = np.array([1.0, -1.0])
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+# Row j of _BIT_TABLES[m] holds the m bits of j, most significant first: the
+# vertex bits of one half of an amplitude index, in vertex order.
+_BIT_TABLES = tuple((np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+                    for m in range((STATE_CAP + 1) // 2 + 1))
+_SHIFTS = np.arange(STATE_CAP)
+# Entry e of _AMPLITUDES[n] is (-1)^e / 2^(n/2), for e from 0 to the number
+# of vertex pairs.
+_AMPLITUDES = tuple(
+    np.resize(np.array([a, -a], dtype=complex), STATE_CAP * (STATE_CAP - 1) // 2 + 1)
+    for a in (1.0 / np.sqrt(1 << n) for n in range(STATE_CAP + 1)))
+
+
+def _monomial_cliffords() -> dict[int, tuple[int, int, int]]:
+    """Clifford index -> (flip, k0, k1) for every matrix with one nonzero
+    entry per row: output bit b takes the input amplitude at bit b ^ flip
+    times i^(k_b).  Read off CLIFFORD_MATRICES, whose zero entries are only
+    zero to rounding."""
+    table = {}
+    for idx, m in enumerate(CLIFFORD_MATRICES):
+        for flip in (0, 1):
+            if max(abs(m[0, 1 - flip]), abs(m[1, flip])) > PHASE_TOL:
+                continue
+            entries = np.array([m[0, flip], m[1, 1 - flip]])
+            powers = np.rint(np.angle(entries) / (np.pi / 2)).astype(int) % 4
+            if np.abs(entries - _I_POWERS[powers]).max() > PHASE_TOL:
+                raise AssertionError(f"Clifford {idx} is not a phased bit flip")
+            table[idx] = (flip, int(powers[0]), int(powers[1]))
+    return table
+
+
+_MONOMIAL = _monomial_cliffords()
 
 
 def basis_eigenvector(basis: str, sign: int) -> np.ndarray:
@@ -66,19 +112,28 @@ def _index_bits(mask: int, n: int) -> int:
 def graph_state(g: Graph) -> np.ndarray:
     """Controlled-Z circuit applied to the uniform superposition.
 
-    Built one vertex at a time, from the last to vertex 0: vertex v becomes
-    the new high bit, and its "1" half is the vector so far times
-    (-1)^(number of later neighbours of v set in the index)."""
+    The amplitude of basis state x is (-1)^(x^T U x) / 2^(n/2), with U the
+    strict upper adjacency and x the vertex bits of the index.  Split x into
+    its first h = n//2 vertices a (the high index bits) and the rest b:
+
+        x^T U x = a^T U_aa a + b^T U_bb b + a^T U_ab b.
+
+    With A and B the bit tables of the halves (row j holds the bits of j),
+    the first two terms are the row-wise dot products of A U_aa with A and
+    of B U_bb with B, and the cross term is the matrix (A U_ab) B^T, whose
+    entry (j, k) belongs to amplitude index j * 2^(n-h) + k.  The sum, the
+    number of edges inside x, picks the signed amplitude."""
     if g.n > STATE_CAP:
         raise CapExceeded(f"dense states capped at n<={STATE_CAP}, got n={g.n}")
     n = g.n
-    vec = np.full(1, 1.0 / np.sqrt(1 << n))
-    idx = np.arange(1 << max(n - 1, 0))
-    for v in range(n - 1, -1, -1):
-        later = _index_bits(g.rows[v] >> (v + 1) << (v + 1), n)
-        odd = np.bitwise_count(idx[:len(vec)] & later) & 1
-        vec = np.concatenate((vec, vec * _PARITY_SIGN[odd]))
-    return vec.astype(complex)
+    h = n // 2
+    upper = [r >> (a + 1) << (a + 1) for a, r in enumerate(g.rows)]
+    u = (np.array(upper, dtype=np.int64)[:, None] >> _SHIFTS[:n]) & 1
+    hi, lo = _BIT_TABLES[h], _BIT_TABLES[n - h]
+    hi_u = hi @ u[:h]
+    form = (np.vecdot(hi_u[:, :h], hi)[:, None] + np.vecdot(lo @ u[h:, h:], lo)
+            + hi_u[:, h:] @ lo.T)
+    return _AMPLITUDES[n][form.reshape(-1)]
 
 
 def apply_single_site(state: np.ndarray, site: int, m: np.ndarray) -> np.ndarray:
@@ -110,12 +165,39 @@ def apply_projector(state: np.ndarray, site: int, basis: str, sign: int
 
 
 def apply_local_clifford(state: np.ndarray, u: LocalClifford) -> np.ndarray:
-    if u.n != _n_qubits(state):
+    """Every monomial site in one step, then apply_single_site per other site.
+
+    The monomial sites (a bit flip times a phase, 8 of the 24 Cliffords)
+    together move amplitude y ^ flip to y and multiply it by i^k, where k is
+    the sum of their phase powers at the bits of y.  Site s adds k0 when its
+    bit of y is 0 and k1 when it is 1, so k is the sum of the k0 plus the
+    popcount of y over the sites whose step k1 - k0 (mod 4) has its 1 bit,
+    plus twice that over the sites whose step has its 2 bit."""
+    n = _n_qubits(state)
+    if u.n != n:
         raise ValueError("size mismatch")
+    flip = ones = twos = power = 0
+    other = []
+    for site, c in enumerate(u.indices):
+        if c == CL_I:
+            continue
+        if c not in _MONOMIAL:
+            other.append(site)
+            continue
+        f, k0, k1 = _MONOMIAL[c]
+        bit = 1 << (n - 1 - site)
+        step = (k1 - k0) & 3
+        flip |= bit * f
+        ones |= bit * (step & 1)
+        twos |= bit * (step >> 1)
+        power += k0
     out = state
-    for site, idx in enumerate(u.indices):
-        if idx != CL_I:
-            out = apply_single_site(out, site, CLIFFORD_MATRICES[idx])
+    if flip or ones or twos or power & 3:
+        idx = np.arange(len(state))
+        k = power + np.bitwise_count(idx & ones) + 2 * np.bitwise_count(idx & twos)
+        out = _I_POWERS[k & 3] * (state[idx ^ flip] if flip else state)
+    for site in other:
+        out = apply_single_site(out, site, CLIFFORD_MATRICES[u.indices[site]])
     return out
 
 
@@ -179,6 +261,22 @@ def reduced_rank_and_entropy(state: np.ndarray, traced) -> tuple[int, float]:
     return int((evals > RANK_TOL).sum()), float(-(nonzero * np.log2(nonzero)).sum())
 
 
+def _trace_mixture(g: Graph, a_mask: int) -> np.ndarray:
+    """Uniform mixture over z in {0,1}^k of the reduced graph's state with a
+    Z on every kept neighbour of an odd number of the traced vertices that z
+    selects, as (S^T S / 2^k) * (base base^dagger): row z of the 2^k x dim
+    sign table S holds that Z string's sign on every amplitude."""
+    kept = [v for v in range(g.n) if not (a_mask >> v) & 1]
+    base = graph_state(induced_subgraph(g, g.vertex_mask() & ~a_mask))
+    last = len(kept) - 1
+    masks = [0]  # amplitude-index mask of the Z string of each z
+    for v in bits_of(a_mask):
+        z = sum(1 << (last - i) for i, w in enumerate(kept) if (g.rows[v] >> w) & 1)
+        masks += [m ^ z for m in masks]
+    signs = _PARITY_SIGN[np.bitwise_count(np.array(masks)[:, None] & np.arange(len(base))) & 1]
+    return (signs.T @ signs) / len(masks) * np.outer(base, base.conj())
+
+
 def verify_partial_trace_form(g: Graph, traced, state: np.ndarray | None = None) -> bool:
     """Check that tracing out a vertex set equals the uniform mixture of
     locally rotated graph states of the reduced graph.
@@ -191,26 +289,4 @@ def verify_partial_trace_form(g: Graph, traced, state: np.ndarray | None = None)
     if state is None:
         state = graph_state(g)
     direct = reduced_density(state, a_mask)
-
-    a_verts = list(bits_of(a_mask))
-    kept = [v for v in range(g.n) if not (a_mask >> v) & 1]
-    pos = {v: i for i, v in enumerate(kept)}
-    reduced_graph = induced_subgraph(g, g.vertex_mask() & ~a_mask)
-    base = graph_state(reduced_graph)
-    dim = len(base)
-    idx = np.arange(dim)
-    mix = np.zeros((dim, dim), dtype=complex)
-    k = len(a_verts)
-    for z in range(1 << k):
-        zmask = 0
-        for i, v in enumerate(a_verts):
-            if (z >> i) & 1:
-                zmask ^= g.rows[v]
-        zmask &= ~a_mask
-        phase_bits = 0
-        for v in bits_of(zmask):
-            phase_bits |= 1 << (len(kept) - 1 - pos[v])
-        phased = (1.0 - 2.0 * (np.bitwise_count(idx & phase_bits) & 1)) * base
-        mix += np.outer(phased, phased.conj())
-    mix /= 1 << k
-    return bool(np.max(np.abs(mix - direct)) <= RANK_TOL)
+    return bool(np.max(np.abs(_trace_mixture(g, a_mask) - direct)) <= RANK_TOL)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import graphstates
@@ -14,6 +15,7 @@ from graphstates import cli, measurement, oracle
 from graphstates.cli import main
 from graphstates.graphs import cycle_graph, empty_graph, star_graph, to_graph6
 from graphstates.orbits import CSV_HEADER
+from graphstates.stabilizer import CLIFFORD_MATRICES, CL_I
 
 
 def test_bounds_single_edge(capsys):
@@ -268,6 +270,36 @@ def test_verify_builds_and_diagonalizes_each_trial_state_once(capsys, monkeypatc
     # per trial: the state, one rewritten state per basis, the complemented
     # state and the reduced graph's state behind the partial-trace mixture
     assert counts == {"graph_state": 6 * 4, "_small_side_spectrum": 4}
+
+
+def test_verify_applies_a_2x2_product_only_at_non_monomial_sites(capsys, monkeypatch):
+    # Cliffords with no zero entry need a 2x2 product on their axis; the
+    # others are a bit flip times a phase, applied by index arithmetic.
+    dense = {i for i, m in enumerate(CLIFFORD_MATRICES) if np.abs(m).min() > 1e-9}
+    counts = {"apply_single_site": 0, "apply_projector": 0, "dense": 0, "monomial": 0}
+    single, projector, local = (oracle.apply_single_site, oracle.apply_projector,
+                                oracle.apply_local_clifford)
+
+    def counting_single(*args):
+        counts["apply_single_site"] += 1
+        return single(*args)
+
+    def counting_projector(*args):
+        counts["apply_projector"] += 1
+        return projector(*args)
+
+    def counting_local(state, u):
+        counts["dense"] += sum(c in dense for c in u.indices)
+        counts["monomial"] += sum(c not in dense and c != CL_I for c in u.indices)
+        return local(state, u)
+
+    monkeypatch.setattr(oracle, "apply_single_site", counting_single)
+    monkeypatch.setattr(oracle, "apply_projector", counting_projector)
+    monkeypatch.setattr(oracle, "apply_local_clifford", counting_local)
+    assert main(["verify", "--seed", "5", "--max-vertices", "7", "--trials", "4"]) == 0
+    assert counts["dense"] > 0 and counts["monomial"] > 0
+    # one product per projector and per dense site, none per monomial site
+    assert counts["apply_single_site"] == counts["apply_projector"] + counts["dense"]
 
 
 def _verify_with_mutated_byproducts(monkeypatch, mutate):

@@ -11,9 +11,11 @@ from graphstates import oracle
 from graphstates.entanglement import schmidt_rank
 from graphstates.graphs import (
     CapExceeded,
+    bits_of,
     cycle_graph,
     empty_graph,
     from_edges,
+    induced_subgraph,
     local_complement,
     path_graph,
     random_connected_graph,
@@ -22,6 +24,8 @@ from graphstates.graphs import (
 )
 from graphstates.stabilizer import (
     CLIFFORD_MATRICES,
+    CL_I,
+    LocalClifford,
     PAULI_MATRICES,
     local_complement_clifford,
     identity_clifford,
@@ -184,6 +188,42 @@ def test_partial_trace_form():
         assert oracle.verify_partial_trace_form(g, subset)
 
 
+def _mixture_reference(g, a_mask):
+    """The uniform mixture summed one z at a time: for each subset z of the
+    traced vertices, the reduced graph's state with Z on every kept vertex
+    adjacent to an odd number of them, added as an outer product."""
+    a_verts = list(bits_of(a_mask))
+    kept = [v for v in range(g.n) if not (a_mask >> v) & 1]
+    pos = {v: i for i, v in enumerate(kept)}
+    base = oracle.graph_state(induced_subgraph(g, g.vertex_mask() & ~a_mask))
+    dim = len(base)
+    idx = np.arange(dim)
+    mix = np.zeros((dim, dim), dtype=complex)
+    k = len(a_verts)
+    for z in range(1 << k):
+        zmask = 0
+        for i, v in enumerate(a_verts):
+            if (z >> i) & 1:
+                zmask ^= g.rows[v]
+        zmask &= ~a_mask
+        phase_bits = 0
+        for v in bits_of(zmask):
+            phase_bits |= 1 << (len(kept) - 1 - pos[v])
+        phased = (1.0 - 2.0 * (np.bitwise_count(idx & phase_bits) & 1)) * base
+        mix += np.outer(phased, phased.conj())
+    return mix / (1 << k)
+
+
+def test_trace_mixture_matches_the_sum_of_outer_products():
+    rng = random.Random(38)
+    graphs = [empty_graph(0), empty_graph(1), empty_graph(4), star_graph(4)]
+    graphs += [random_connected_graph(rng, n) for n in range(2, 8) for _ in range(3)]
+    for g in graphs:
+        for a_mask in range(1 << g.n):
+            assert np.allclose(oracle._trace_mixture(g, a_mask), _mixture_reference(g, a_mask),
+                               rtol=0, atol=1e-12), (to_graph6(g), a_mask)
+
+
 def _cz_reference(g):
     """The graph state by definition: one controlled-Z per edge applied to
     the uniform superposition, each as a sign flip on the indices that hold
@@ -233,6 +273,38 @@ def test_apply_single_site_matches_kron_product():
             for site in range(n):
                 assert np.allclose(oracle.apply_single_site(state, site, m),
                                    _kron_at(n, site, m) @ state, atol=1e-12)
+
+
+def test_apply_local_clifford_matches_the_per_site_kron_product():
+    rng = np.random.default_rng(37)
+    for n in range(1, 7):
+        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        for c in range(24):
+            for site in range(n):
+                u = LocalClifford(tuple(c if v == site else CL_I for v in range(n)))
+                assert np.allclose(oracle.apply_local_clifford(state, u),
+                                   _kron_at(n, site, CLIFFORD_MATRICES[c]) @ state,
+                                   atol=1e-12), (n, c, site)
+        for _ in range(30):
+            u = LocalClifford(tuple(int(c) for c in rng.integers(24, size=n)))
+            ref = state
+            for site, c in enumerate(u.indices):
+                ref = _kron_at(n, site, CLIFFORD_MATRICES[c]) @ ref
+            assert np.allclose(oracle.apply_local_clifford(state, u), ref, atol=1e-12), u
+
+
+def test_monomial_table_holds_the_four_diagonal_and_four_antidiagonal_cliffords():
+    # The zero entries of the table's matrices are rounding residues, not
+    # exact zeros, so an exact test would miss the antidiagonal four.
+    flips = [flip for flip, _, _ in oracle._MONOMIAL.values()]
+    assert len(oracle._MONOMIAL) == 8
+    assert flips.count(0) == 4 and flips.count(1) == 4
+    for c, (flip, k0, k1) in oracle._MONOMIAL.items():
+        m = np.zeros((2, 2), dtype=complex)
+        m[0, flip], m[1, 1 - flip] = 1j ** k0, 1j ** k1
+        assert np.allclose(CLIFFORD_MATRICES[c], m, atol=1e-12), c
+    for c in set(range(24)) - set(oracle._MONOMIAL):
+        assert np.abs(CLIFFORD_MATRICES[c]).min() > 0.7, c
 
 
 def test_apply_projector_uses_the_basis_projector():
