@@ -3,6 +3,10 @@
 Schmidt-rank bounds over GF(2), graph rewrite rules for local Pauli
 measurements, local-complementation orbits and classification, and a dense
 state-vector oracle for verification.
+
+Everything but the oracle runs on integer tables.  graphstates.oracle is the
+one numpy user, and nothing here imports it: import it where dense states
+are wanted, as the CLI does for verify alone.
 """
 
 from .gf2 import gf2_kernel_basis, gf2_rank_of_rows
@@ -36,7 +40,6 @@ from .stabilizer import (
     PauliOp,
     clifford_compose,
     clifford_conjugate_pauli,
-    exact_support_count,
     local_complement_clifford,
     pauli_product,
     stabilizer_element,
@@ -66,15 +69,6 @@ from .orbits import (
     lc_equivalence_witness,
     lc_equivalent,
     lc_orbit,
-)
-from .oracle import (
-    apply_local_clifford,
-    apply_pauli,
-    apply_projector,
-    equal_up_to_global_phase,
-    graph_state,
-    reduced_rank_and_entropy,
-    verify_partial_trace_form,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import random
 import re
 import sys
 
-from . import entanglement, measurement, oracle, orbits
+from . import entanglement, measurement, orbits
 from .graphs import (
     CapExceeded,
     Graph,
@@ -178,6 +178,8 @@ def _cmd_orbit(args) -> int:
 
 
 def _verify_suite(seed: int, max_n: int, trials: int) -> list[str]:
+    from . import oracle
+
     rng = random.Random(seed)
     failures: list[str] = []
 
@@ -227,6 +229,8 @@ def _verify_suite(seed: int, max_n: int, trials: int) -> list[str]:
 
 
 def _cmd_verify(args) -> int:
+    from . import oracle  # the one numpy user, loaded for verify alone
+
     if args.max_vertices > oracle.STATE_CAP:
         raise CapExceeded(f"verify builds dense states, capped at "
                           f"n<={oracle.STATE_CAP}, got --max-vertices {args.max_vertices}")

@@ -17,11 +17,20 @@ more), and the rest.  The monomial sites act together as one index xor and
 one phase i^k per amplitude; each other site is a 2x2 product on its axis.
 The monomial table is read off CLIFFORD_MATRICES at import.
 
+This module owns every matrix of the package and is its one numpy user;
+the rest of graphstates runs on integer tables and loads it only for
+verify.  CLIFFORD_MATRICES[i] is the product of the H/S word
+CLIFFORD_WORDS[i], its phase normalized after each factor.  At import each
+matrix's signed axis action, computed from the matrix itself, must equal
+the symbolic table's CLIFFORD_AXIS_IMAGE[i], so the oracle checks the
+symbolic walk instead of being its source.
+
 The oracle reads a graph only through its adjacency rows and a local
 Clifford only through CLIFFORD_MATRICES.  It uses no graph rule
-(measurement, local complementation) and none of the symbolic stabilizer
-tables (axis images, composition), so the checks built on it stay
-independent of the rules they check.
+(measurement, local complementation), and no symbolic stabilizer table
+(axis images, composition) outside that import check and
+clifford_index_of_matrix, so the checks built on it stay independent of the
+rules they check.
 """
 
 from __future__ import annotations
@@ -30,17 +39,91 @@ import numpy as np
 
 from .graphs import CapExceeded, Graph, as_mask, bits_of, induced_subgraph
 from .stabilizer import (
-    CLIFFORD_MATRICES,
+    AXIS_X,
+    AXIS_Y,
+    AXIS_Z,
+    CLIFFORD_AXIS_IMAGE,
+    CLIFFORD_WORDS,
     CL_I,
     LocalClifford,
-    PAULI_MATRICES,
-    PauliOp,
 )
 
 STATE_CAP = 12
 TRACE_FORM_CAP = 10  # vertices before verify_partial_trace_form gives up
 PHASE_TOL = 1e-9
 RANK_TOL = 1e-8
+
+_SQ2 = 1.0 / np.sqrt(2.0)
+
+PAULI_MATRICES = {
+    AXIS_X: np.array([[0, 1], [1, 0]], dtype=complex),
+    AXIS_Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
+    AXIS_Z: np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+_H_MATRIX = _SQ2 * np.array([[1, 1], [1, -1]], dtype=complex)
+_S_MATRIX = np.array([[1, 0], [0, 1j]], dtype=complex)
+
+# principal square roots of +-i sigma_a (the byproduct alphabet)
+SQRT_MATRICES = {
+    ("x", +1): _SQ2 * np.array([[1, 1j], [1j, 1]], dtype=complex),    # (+i sx)^1/2
+    ("x", -1): _SQ2 * np.array([[1, -1j], [-1j, 1]], dtype=complex),  # (-i sx)^1/2
+    ("y", +1): _SQ2 * np.array([[1, 1], [-1, 1]], dtype=complex),     # (+i sy)^1/2
+    ("y", -1): _SQ2 * np.array([[1, -1], [1, 1]], dtype=complex),     # (-i sy)^1/2
+    ("z", +1): np.array([[np.exp(1j * np.pi / 4), 0], [0, np.exp(-1j * np.pi / 4)]]),
+    ("z", -1): np.array([[np.exp(-1j * np.pi / 4), 0], [0, np.exp(1j * np.pi / 4)]]),
+}
+
+
+def _normalize_phase(m: np.ndarray) -> np.ndarray:
+    """Scale by a unit phase so the first nonzero entry is real positive."""
+    v = m.flat[np.flatnonzero(np.abs(m) > 1e-9)[0]]
+    return m / (v / abs(v))
+
+
+_PAULI_STACK = np.array([PAULI_MATRICES[ax] for ax in (AXIS_X, AXIS_Y, AXIS_Z)])
+
+
+def _axis_action(m: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """((axis', sign) for X, Y, Z) with  m sigma m^dagger = sign * sigma_axis'.
+
+    ValueError unless every image is a signed Pauli axis, which holds exactly
+    for the Clifford unitaries, up to any global phase."""
+    q = m @ _PAULI_STACK @ np.conj(m).T
+    # sigma_b's coefficient in q_a is the Hilbert-Schmidt product / 2
+    coeff = (q.reshape(3, 4) @ _PAULI_STACK.reshape(3, 4).conj().T).real / 2
+    axes = np.abs(coeff).argmax(axis=1)
+    signs = np.where(coeff[np.arange(3), axes] < 0, -1, 1)
+    err = np.abs(q - signs[:, None, None] * _PAULI_STACK[axes]).max()
+    if not err <= 1e-9:  # NaN fails too
+        raise ValueError("not a single-qubit Clifford unitary")
+    return tuple((int(a), int(s)) for a, s in zip(axes, signs))
+
+
+def _clifford_matrices() -> np.ndarray:
+    """Entry i is the product of the H/S word CLIFFORD_WORDS[i], left to
+    right, its phase normalized after each factor.  AssertionError unless
+    each matrix's own axis action is the symbolic CLIFFORD_AXIS_IMAGE[i]."""
+    mats = []
+    for i, word in enumerate(CLIFFORD_WORDS):
+        m = np.eye(2, dtype=complex)
+        for letter in word:
+            m = _normalize_phase(m @ (_H_MATRIX if letter == "H" else _S_MATRIX))
+        if _axis_action(m) != CLIFFORD_AXIS_IMAGE[i]:
+            raise AssertionError(f"Clifford {i} ({word or 'I'}): matrix and "
+                                 f"symbolic table disagree")
+        mats.append(m)
+    return np.array(mats)
+
+
+CLIFFORD_MATRICES = _clifford_matrices()
+
+
+def clifford_index_of_matrix(m: np.ndarray) -> int:
+    """Table index of a single-qubit Clifford matrix, up to global phase;
+    ValueError for any other matrix."""
+    return CLIFFORD_AXIS_IMAGE.index(_axis_action(m))
+
 
 _BASIS_VECTORS = {
     ("x", +1): np.array([1, 1], dtype=complex) / np.sqrt(2),
@@ -102,11 +185,6 @@ def _n_qubits(state: np.ndarray) -> int:
     if dim == 0 or dim & (dim - 1):
         raise ValueError(f"state length {dim} is not a power of two")
     return dim.bit_length() - 1
-
-
-def _index_bits(mask: int, n: int) -> int:
-    """Vertex mask -> amplitude-index mask (vertex v is index bit n-1-v)."""
-    return int(format(mask, f"0{n}b")[::-1], 2)
 
 
 def graph_state(g: Graph) -> np.ndarray:
@@ -199,19 +277,6 @@ def apply_local_clifford(state: np.ndarray, u: LocalClifford) -> np.ndarray:
     for site in other:
         out = apply_single_site(out, site, CLIFFORD_MATRICES[u.indices[site]])
     return out
-
-
-def apply_pauli(state: np.ndarray, p: PauliOp) -> np.ndarray:
-    """Apply i^phase * prod X^x Z^z using index arithmetic."""
-    n = _n_qubits(state)
-    if p.n != n:
-        raise ValueError("size mismatch")
-    xi = _index_bits(p.x, n)
-    zi = _index_bits(p.z, n)
-    idx = np.arange(len(state))
-    src = idx ^ xi
-    signs = 1.0 - 2.0 * (np.bitwise_count(src & zi) & 1)
-    return (1j) ** p.phase * signs * state[src]
 
 
 def equal_up_to_global_phase(s: np.ndarray, t: np.ndarray) -> bool:

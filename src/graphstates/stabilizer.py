@@ -6,69 +6,26 @@ mask, and a global phase as a power of i.  The operator it denotes is
     i^phase * prod_sites X^{x_s} Z^{z_s}
 
 so a site in both supports carries XZ = -iY.  Single-qubit Cliffords live in
-a precomputed 24-element table (indices, composition, inverse, and signed
-axis action).  The group is keyed by its exact signed axis action, how each
-element permutes and signs X, Y and Z; all symbolic paths use the integer
-tables only.  Matrices exist only for the dense oracle and for
-clifford_index_of_matrix.
+a precomputed 24-element table (indices, composition, inverse, signed axis
+action, and shortest H/S word).  The group is keyed by its exact signed axis
+action, how each element permutes and signs X, Y and Z, walked from the
+actions of H and S.  This module holds integer tables only, no numpy: the
+matrices live in the dense oracle, which builds them from the H/S words and
+checks them against the axis actions here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .graphs import CapExceeded, Graph, bits_of, as_mask
+from .graphs import Graph, bits_of, as_mask
 
 AXIS_X, AXIS_Y, AXIS_Z = 0, 1, 2
-SUPPORT_CAP = 16  # vertices before exact_support_count gives up
-
-_SQ2 = 1.0 / np.sqrt(2.0)
-
-PAULI_MATRICES = {
-    AXIS_X: np.array([[0, 1], [1, 0]], dtype=complex),
-    AXIS_Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    AXIS_Z: np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-_H_MATRIX = _SQ2 * np.array([[1, 1], [1, -1]], dtype=complex)
-_S_MATRIX = np.array([[1, 0], [0, 1j]], dtype=complex)
-
-# principal square roots of +-i sigma_a (the byproduct alphabet)
-SQRT_MATRICES = {
-    ("x", +1): _SQ2 * np.array([[1, 1j], [1j, 1]], dtype=complex),    # (+i sx)^1/2
-    ("x", -1): _SQ2 * np.array([[1, -1j], [-1j, 1]], dtype=complex),  # (-i sx)^1/2
-    ("y", +1): _SQ2 * np.array([[1, 1], [-1, 1]], dtype=complex),     # (+i sy)^1/2
-    ("y", -1): _SQ2 * np.array([[1, -1], [1, 1]], dtype=complex),     # (-i sy)^1/2
-    ("z", +1): np.array([[np.exp(1j * np.pi / 4), 0], [0, np.exp(-1j * np.pi / 4)]]),
-    ("z", -1): np.array([[np.exp(-1j * np.pi / 4), 0], [0, np.exp(1j * np.pi / 4)]]),
-}
 
 
-def _normalize_phase(m: np.ndarray) -> np.ndarray:
-    """Scale by a unit phase so the first nonzero entry is real positive."""
-    v = m.flat[np.flatnonzero(np.abs(m) > 1e-9)[0]]
-    return m / (v / abs(v))
-
-
-_PAULI_STACK = np.array([PAULI_MATRICES[ax] for ax in (AXIS_X, AXIS_Y, AXIS_Z)])
-
-
-def _axis_action(m: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """((axis', sign) for X, Y, Z) with  m sigma m^dagger = sign * sigma_axis'.
-
-    ValueError unless every image is a signed Pauli axis, which holds exactly
-    for the Clifford unitaries, up to any global phase."""
-    q = m @ _PAULI_STACK @ np.conj(m).T
-    # sigma_b's coefficient in q_a is the Hilbert-Schmidt product / 2
-    coeff = (q.reshape(3, 4) @ _PAULI_STACK.reshape(3, 4).conj().T).real / 2
-    axes = np.abs(coeff).argmax(axis=1)
-    signs = np.where(coeff[np.arange(3), axes] < 0, -1, 1)
-    err = np.abs(q - signs[:, None, None] * _PAULI_STACK[axes]).max()
-    if not err <= 1e-9:  # NaN fails too
-        raise ValueError("not a single-qubit Clifford unitary")
-    return tuple((int(a), int(s)) for a, s in zip(axes, signs))
+def _signed_axes(*images: str) -> tuple[tuple[int, int], ...]:
+    """Signed axis action from the images of X, Y and Z, e.g. "+Z" or "-Y"."""
+    return tuple(("XYZ".index(a), 1 if s == "+" else -1) for s, a in images)
 
 
 def _compose_action(a: tuple, b: tuple) -> tuple:
@@ -80,59 +37,57 @@ def _build_tables():
     """Breadth-first walk from I over right factors H then S, keyed by the
     exact signed axis action (a Clifford is fixed by it up to phase); each
     element's word is its shortest H/S product, first found by the walk."""
-    gens = [(m, _axis_action(m), letter) for m, letter in ((_H_MATRIX, "H"), (_S_MATRIX, "S"))]
-    mats = [np.eye(2, dtype=complex)]
-    images = [_axis_action(mats[0])]
+    gens = ((_signed_axes("+Z", "-Y", "+X"), "H"), (_signed_axes("+Y", "-X", "+Z"), "S"))
+    images = [_signed_axes("+X", "+Y", "+Z")]
     words = [""]
     index = {images[0]: 0}
     frontier = [0]
     while frontier:
         nxt = []
         for i in frontier:
-            for gen, gen_image, letter in gens:
+            for gen_image, letter in gens:
                 image = _compose_action(images[i], gen_image)
                 if image not in index:
                     index[image] = len(images)
                     images.append(image)
-                    mats.append(_normalize_phase(mats[i] @ gen))
                     words.append(words[i] + letter)
                     nxt.append(index[image])
         frontier = nxt
-    if len(mats) != 24:
-        raise AssertionError(f"expected 24 single-qubit Cliffords, built {len(mats)}")
+    if len(images) != 24:
+        raise AssertionError(f"expected 24 single-qubit Cliffords, built {len(images)}")
     compose = [[index[_compose_action(a, b)] for b in images] for a in images]
     inverse = [row.index(0) for row in compose]
-    return np.array(mats), compose, inverse, tuple(images), words
+    return compose, inverse, tuple(images), tuple(words)
 
 
-(CLIFFORD_MATRICES, CLIFFORD_COMPOSE, CLIFFORD_INVERSE, CLIFFORD_AXIS_IMAGE,
- _WORDS) = _build_tables()
+CLIFFORD_COMPOSE, CLIFFORD_INVERSE, CLIFFORD_AXIS_IMAGE, CLIFFORD_WORDS = _build_tables()
 
 
-def clifford_index_of_matrix(m: np.ndarray) -> int:
-    """Table index of a single-qubit Clifford matrix, up to global phase;
-    ValueError for any other matrix."""
-    return CLIFFORD_AXIS_IMAGE.index(_axis_action(m))
+def _index_of(*images: str) -> int:
+    """Table index of the Clifford mapping X, Y and Z to the given signed axes."""
+    return CLIFFORD_AXIS_IMAGE.index(_signed_axes(*images))
 
 
-CL_I = clifford_index_of_matrix(np.eye(2, dtype=complex))
-CL_X = clifford_index_of_matrix(PAULI_MATRICES[AXIS_X])
-CL_Y = clifford_index_of_matrix(PAULI_MATRICES[AXIS_Y])
-CL_Z = clifford_index_of_matrix(PAULI_MATRICES[AXIS_Z])
-CL_H = clifford_index_of_matrix(_H_MATRIX)
-CL_S = clifford_index_of_matrix(_S_MATRIX)
-CL_SDG = clifford_index_of_matrix(_S_MATRIX.conj().T)
-CL_SQRT_MIX = clifford_index_of_matrix(SQRT_MATRICES[("x", -1)])
-CL_SQRT_IY = clifford_index_of_matrix(SQRT_MATRICES[("y", +1)])
-CL_SQRT_MIY = clifford_index_of_matrix(SQRT_MATRICES[("y", -1)])
-CL_SQRT_IZ = clifford_index_of_matrix(SQRT_MATRICES[("z", +1)])
-CL_SQRT_MIZ = clifford_index_of_matrix(SQRT_MATRICES[("z", -1)])
+CL_I = _index_of("+X", "+Y", "+Z")
+CL_X = _index_of("+X", "-Y", "-Z")
+CL_Y = _index_of("-X", "+Y", "-Z")
+CL_Z = _index_of("-X", "-Y", "+Z")
+CL_H = _index_of("+Z", "-Y", "+X")
+CL_S = _index_of("+Y", "-X", "+Z")
+CL_SDG = _index_of("-Y", "+X", "+Z")
+# principal square roots of +-i sigma_a (the byproduct alphabet); a root of
+# -i sigma_z is S up to phase, and one of +i sigma_z is S^dagger
+CL_SQRT_MIX = _index_of("+X", "+Z", "-Y")
+CL_SQRT_IY = _index_of("+Z", "+Y", "-X")
+CL_SQRT_MIY = _index_of("-Z", "+Y", "+X")
+CL_SQRT_IZ = _index_of("-Y", "+X", "+Z")
+CL_SQRT_MIZ = _index_of("+Y", "-X", "+Z")
 
 _NAMES = {CL_I: "I", CL_X: "X", CL_Y: "Y", CL_Z: "Z", CL_H: "H", CL_S: "S", CL_SDG: "Sd",
-          CL_SQRT_MIX: "Qx-", clifford_index_of_matrix(SQRT_MATRICES["x", +1]): "Qx+",
+          CL_SQRT_MIX: "Qx-", _index_of("+X", "-Z", "+Y"): "Qx+",
           CL_SQRT_IY: "Qy+", CL_SQRT_MIY: "Qy-"}
 # the rest get their shortest H/S word
-CLIFFORD_NAMES = tuple(_NAMES.get(i, word) for i, word in enumerate(_WORDS))
+CLIFFORD_NAMES = tuple(_NAMES.get(i, word) for i, word in enumerate(CLIFFORD_WORDS))
 
 
 def clifford_axis_image(idx: int, axis: int) -> tuple[int, int]:
@@ -197,30 +152,6 @@ def stabilizer_element(g: Graph, subset) -> PauliOp:
     for a in bits_of(mask):
         out = pauli_product(out, stabilizer_generator(g, a))
     return out
-
-
-def exact_support_count(g: Graph, subset) -> int:
-    """Number of stabilizer elements acting non-trivially exactly on the subset.
-
-    Only generator products over S within the subset can qualify (the
-    X-support of the product is S itself), so the enumeration is over
-    submasks of the subset.
-    """
-    a_mask = as_mask(g.n, subset)
-    if g.n > SUPPORT_CAP:
-        raise CapExceeded(f"support enumeration capped at n<={SUPPORT_CAP}, got n={g.n}")
-    count = 0
-    s = a_mask
-    while True:
-        zsup = 0
-        for v in bits_of(s):
-            zsup ^= g.rows[v]
-        if (s | zsup) == a_mask:
-            count += 1
-        if s == 0:
-            break
-        s = (s - 1) & a_mask
-    return count
 
 
 # ---------------------------------------------------------------------------

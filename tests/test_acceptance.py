@@ -36,7 +36,8 @@ from graphstates.graphs import (
     toggle_edge,
     two_coloring,
 )
-from graphstates.stabilizer import exact_support_count, local_complement_clifford
+from graphstates.stabilizer import local_complement_clifford
+from test_stabilizer import exact_support_count
 
 PROB_TOL = 1e-12
 ENTROPY_TOL = 1e-6

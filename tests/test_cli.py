@@ -15,7 +15,7 @@ from graphstates import cli, measurement, oracle
 from graphstates.cli import main
 from graphstates.graphs import cycle_graph, empty_graph, star_graph, to_graph6
 from graphstates.orbits import CSV_HEADER
-from graphstates.stabilizer import CLIFFORD_MATRICES, CL_I
+from graphstates.stabilizer import CL_I
 
 
 def test_bounds_single_edge(capsys):
@@ -226,6 +226,32 @@ def test_module_entry_point_runs():
     assert "lower=1" in proc.stdout
 
 
+_NUMPY_GUARD = """
+import contextlib, io, sys
+import graphstates
+from graphstates import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["bounds", "Gr`HOk"]),
+             cli.main(["classify", "5", "--format", "dot"]),
+             cli.main(["orbit", "D~{", "--with-isomorphisms"]),
+             cli.main(["measure", "D~{", "x0", "y1+", "z2-"])]
+    before_verify = "numpy" in sys.modules
+    codes.append(cli.main(["verify", "--trials", "2"]))
+print(codes, before_verify, "numpy" in sys.modules)
+"""
+
+
+def test_only_verify_loads_numpy():
+    # every command but verify runs on integer tables; numpy comes in with
+    # the dense oracle, which verify alone imports
+    src = Path(graphstates.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_GUARD],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0, 0, 0] False True\n"
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_verify_above_dense_cap_exits_two_whatever_the_seed(capsys, seed):
     assert main(["verify", "--seed", str(seed), "--max-vertices", "13",
@@ -275,7 +301,7 @@ def test_verify_builds_and_diagonalizes_each_trial_state_once(capsys, monkeypatc
 def test_verify_applies_a_2x2_product_only_at_non_monomial_sites(capsys, monkeypatch):
     # Cliffords with no zero entry need a 2x2 product on their axis; the
     # others are a bit flip times a phase, applied by index arithmetic.
-    dense = {i for i, m in enumerate(CLIFFORD_MATRICES) if np.abs(m).min() > 1e-9}
+    dense = {i for i, m in enumerate(oracle.CLIFFORD_MATRICES) if np.abs(m).min() > 1e-9}
     counts = {"apply_single_site": 0, "apply_projector": 0, "dense": 0, "monomial": 0}
     single, projector, local = (oracle.apply_single_site, oracle.apply_projector,
                                 oracle.apply_local_clifford)

@@ -5,9 +5,13 @@ import random
 import numpy as np
 import pytest
 
+from graphstates import oracle
 from graphstates import stabilizer as st
 from graphstates.graphs import (
     CapExceeded,
+    Graph,
+    as_mask,
+    bits_of,
     complete_graph,
     cycle_graph,
     from_edges,
@@ -24,9 +28,9 @@ def _pauli_matrix(p: st.PauliOp) -> np.ndarray:
     for s in range(p.n):
         site = np.eye(2, dtype=complex)
         if (p.x >> s) & 1:
-            site = site @ st.PAULI_MATRICES[st.AXIS_X]
+            site = site @ oracle.PAULI_MATRICES[st.AXIS_X]
         if (p.z >> s) & 1:
-            site = site @ st.PAULI_MATRICES[st.AXIS_Z]
+            site = site @ oracle.PAULI_MATRICES[st.AXIS_Z]
         m = np.kron(m, site)
     return (1j) ** p.phase * m
 
@@ -80,16 +84,43 @@ def test_stabilizer_element_is_homomorphism_mod_phase():
         assert (prod.x, prod.z) == (c.x, c.z)
 
 
+SUPPORT_CAP = 16  # vertices before exact_support_count gives up
+
+
+def exact_support_count(g: Graph, subset) -> int:
+    """Number of stabilizer elements acting non-trivially exactly on the subset.
+
+    Only generator products over S within the subset can qualify (the
+    X-support of the product is S itself), so the enumeration is over
+    submasks of the subset.  Acceptance criterion 09 counts with it too.
+    """
+    a_mask = as_mask(g.n, subset)
+    if g.n > SUPPORT_CAP:
+        raise CapExceeded(f"support enumeration capped at n<={SUPPORT_CAP}, got n={g.n}")
+    count = 0
+    s = a_mask
+    while True:
+        zsup = 0
+        for v in bits_of(s):
+            zsup ^= g.rows[v]
+        if (s | zsup) == a_mask:
+            count += 1
+        if s == 0:
+            break
+        s = (s - 1) & a_mask
+    return count
+
+
 def test_exact_support_count_examples():
     k2 = from_edges(2, [(0, 1)])
-    assert st.exact_support_count(k2, 0) == 1
-    assert st.exact_support_count(k2, 0b11) == 3
+    assert exact_support_count(k2, 0) == 1
+    assert exact_support_count(k2, 0b11) == 3
 
 
 def test_exact_support_count_cap():
-    assert st.exact_support_count(path_graph(st.SUPPORT_CAP), 0b1) == 0
+    assert exact_support_count(path_graph(SUPPORT_CAP), 0b1) == 0
     with pytest.raises(CapExceeded):
-        st.exact_support_count(path_graph(st.SUPPORT_CAP + 1), 0b1)
+        exact_support_count(path_graph(SUPPORT_CAP + 1), 0b1)
 
 
 def test_support_count_identity_random():
@@ -105,7 +136,7 @@ def test_support_count_identity_random():
         total = 0
         b = a_mask
         while True:
-            total += st.exact_support_count(g, b)
+            total += exact_support_count(g, b)
             if b == 0:
                 break
             b = (b - 1) & a_mask
@@ -131,27 +162,27 @@ def test_clifford_table_is_a_group_of_24():
 
 
 def test_sqrt_matrices_square_to_targets():
-    for (axis, sign), m in st.SQRT_MATRICES.items():
-        target = sign * 1j * st.PAULI_MATRICES["xyz".index(axis)]
+    for (axis, sign), m in oracle.SQRT_MATRICES.items():
+        target = sign * 1j * oracle.PAULI_MATRICES["xyz".index(axis)]
         assert np.allclose(m @ m, target, atol=1e-9)
 
 
 def test_axis_action_matches_matrices():
     for idx in range(24):
-        u = st.CLIFFORD_MATRICES[idx]
+        u = oracle.CLIFFORD_MATRICES[idx]
         for axis in (st.AXIS_X, st.AXIS_Y, st.AXIS_Z):
             axis2, sign = st.clifford_axis_image(idx, axis)
-            got = u @ st.PAULI_MATRICES[axis] @ u.conj().T
-            assert np.allclose(got, sign * st.PAULI_MATRICES[axis2], atol=1e-9)
+            got = u @ oracle.PAULI_MATRICES[axis] @ u.conj().T
+            assert np.allclose(got, sign * oracle.PAULI_MATRICES[axis2], atol=1e-9)
 
 
 def test_projector_commutation_relations_all_elements():
     # P(basis, sign) U == U P(basis', sign') for every table element
     def proj(basis, sign):
         axis = "xyz".index(basis)
-        return (np.eye(2, dtype=complex) + sign * st.PAULI_MATRICES[axis]) / 2
+        return (np.eye(2, dtype=complex) + sign * oracle.PAULI_MATRICES[axis]) / 2
     for idx in range(24):
-        u = st.CLIFFORD_MATRICES[idx]
+        u = oracle.CLIFFORD_MATRICES[idx]
         for basis in "xyz":
             for sign in (1, -1):
                 b2, s2 = conjugate_basis(idx, basis, sign)
@@ -183,7 +214,7 @@ def test_conjugate_pauli_matches_matrices_multisite():
         q = st.clifford_conjugate_pauli(u, p)
         big = np.array([[1.0 + 0j]])
         for s in range(n):
-            big = np.kron(big, st.CLIFFORD_MATRICES[u.indices[s]])
+            big = np.kron(big, oracle.CLIFFORD_MATRICES[u.indices[s]])
         assert np.allclose(big @ _pauli_matrix(p) @ big.conj().T,
                            _pauli_matrix(q), atol=1e-9)
 
@@ -191,18 +222,18 @@ def test_conjugate_pauli_matches_matrices_multisite():
 def test_compose_matches_matrix_product():
     for i in range(24):
         for j in range(24):
-            m = st.CLIFFORD_MATRICES[i] @ st.CLIFFORD_MATRICES[j]
-            assert st.clifford_index_of_matrix(m) == st.CLIFFORD_COMPOSE[i][j]
+            m = oracle.CLIFFORD_MATRICES[i] @ oracle.CLIFFORD_MATRICES[j]
+            assert oracle.clifford_index_of_matrix(m) == st.CLIFFORD_COMPOSE[i][j]
 
 
 def test_inverse_matches_conjugate_transpose():
     for i in range(24):
-        m = st.CLIFFORD_MATRICES[i].conj().T
-        assert st.clifford_index_of_matrix(m) == st.CLIFFORD_INVERSE[i]
+        m = oracle.CLIFFORD_MATRICES[i].conj().T
+        assert oracle.clifford_index_of_matrix(m) == st.CLIFFORD_INVERSE[i]
 
 
 def test_index_of_matrix_ignores_global_phase():
-    assert st.clifford_index_of_matrix(np.exp(0.3j) * st.CLIFFORD_MATRICES[5]) == 5
+    assert oracle.clifford_index_of_matrix(np.exp(0.3j) * oracle.CLIFFORD_MATRICES[5]) == 5
 
 
 @pytest.mark.parametrize("m", [
@@ -213,7 +244,7 @@ def test_index_of_matrix_ignores_global_phase():
 ])
 def test_index_of_matrix_rejects_non_cliffords(m):
     with pytest.raises(ValueError):
-        st.clifford_index_of_matrix(m.astype(complex))
+        oracle.clifford_index_of_matrix(m.astype(complex))
 
 
 def test_table_order_is_pinned():
@@ -226,6 +257,30 @@ def test_table_order_is_pinned():
     assert st.CLIFFORD_BY_ACTION == {
         (1, 0, 0, 1): 0, (0, 1, 1, 0): 1, (1, 0, 1, 1): 2, (1, 1, 1, 0): 3,
         (0, 1, 1, 1): 4, (1, 1, 0, 1): 6}
+
+
+def test_named_cliffords_match_their_matrices():
+    # the constants are literal axis actions; each must name the table index
+    # of the matrix it stands for (S and S^dagger share theirs with the
+    # square roots of -+i sigma_z)
+    pauli, sqrt = oracle.PAULI_MATRICES, oracle.SQRT_MATRICES
+    pairs = [
+        (st.CL_I, np.eye(2, dtype=complex)),
+        (st.CL_X, pauli[st.AXIS_X]),
+        (st.CL_Y, pauli[st.AXIS_Y]),
+        (st.CL_Z, pauli[st.AXIS_Z]),
+        (st.CL_H, oracle._H_MATRIX),
+        (st.CL_S, oracle._S_MATRIX),
+        (st.CL_SDG, oracle._S_MATRIX.conj().T),
+        (st.CL_SQRT_MIX, sqrt["x", -1]),
+        (st.CL_SQRT_IY, sqrt["y", +1]),
+        (st.CL_SQRT_MIY, sqrt["y", -1]),
+        (st.CL_SQRT_IZ, sqrt["z", +1]),
+        (st.CL_SQRT_MIZ, sqrt["z", -1]),
+        (st.CLIFFORD_NAMES.index("Qx+"), sqrt["x", +1]),
+    ]
+    for idx, m in pairs:
+        assert oracle.clifford_index_of_matrix(m) == idx
 
 
 def test_local_complement_clifford_shape():
