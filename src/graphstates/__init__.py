@@ -17,20 +17,17 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     delete_vertex,
-    edges_between,
     empty_graph,
     from_edges,
     grid_graph,
     induced_subgraph,
     is_connected,
-    is_isomorphic,
     local_complement,
     min_vertex_cover,
     parse_graph6,
     path_graph,
     petersen_graph,
     star_graph,
-    sym_diff_edges,
     to_graph6,
     toggle_edge,
     two_coloring,
@@ -56,11 +53,9 @@ from .entanglement import (
     RankIndex,
     bounds,
     lower_bound_max_rank,
-    max_rank_criterion,
     pauli_persistency,
     rank_index,
     schmidt_rank,
-    two_colorable_bounds,
 )
 from .orbits import (
     ClassRecord,

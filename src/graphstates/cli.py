@@ -79,11 +79,10 @@ def _emit(text: str, output: str | None) -> None:
 
 def _cmd_bounds(args) -> int:
     graphs = _load_graphs(args.graph)
-    records = []
     for g in graphs:
         if g.n > args.max_vertices:
             raise CapExceeded(f"graph has {g.n} vertices, cap is {args.max_vertices}")
-        records.append(entanglement.bounds_record(g, depth_limit=args.depth_limit))
+    records = [entanglement.bounds_record(g, depth_limit=args.depth_limit) for g in graphs]
     if args.format == "json":
         _emit(json.dumps(records, indent=2) + "\n", args.output)
     elif args.format == "csv":

@@ -8,6 +8,15 @@ search over the graph rewrite rules) upper bounds it, and is itself at most
 the minimum vertex cover size. All ranks are base-2 logarithms, i.e. plain
 GF(2) ranks.
 
+Persistency is in fact the least minimum vertex cover over the graph's LC
+class.  Measuring a set M leaves, up to local Cliffords, the graph state of
+a vertex-minor of G on V - M, and every vertex-minor on a set S is G'[S] for
+some G' locally equivalent to G (Bouchet, Graphic presentations of isotropic
+systems, JCTB 45, 1988; Oum, JCTB 95, 2005).  The state is a product state
+exactly when that graph has no edges, that is when M covers G'; cover size
+does not change under isomorphism.  The search below does not use this; a
+test checks it against the class walk.
+
 Whether some cut rank reaches k is one question, asked of the kernel
 _full_rank_split: it is so exactly when some set A of k vertices has cut
 rank k (the k vertices whose cross rows are independent in a split of rank
@@ -59,7 +68,6 @@ from .gf2 import gf2_rank_of_rows
 from .graphs import (
     CapExceeded,
     Graph,
-    _graph,
     as_mask,
     bits_of,
     connected_components,
@@ -96,11 +104,6 @@ class RankIndex:
     counts: tuple[int, ...]
 
 
-def _check_bipartition(g: Graph, a_mask: int) -> None:
-    if a_mask == 0 or a_mask == g.vertex_mask():
-        raise ValueError("bipartition needs a nonempty proper vertex subset")
-
-
 def _cross_rank(g: Graph, a_mask: int) -> int:
     b_mask = g.vertex_mask() & ~a_mask
     rows = g.rows
@@ -133,7 +136,8 @@ def _splits(n: int, k: int):
 def schmidt_rank(g: Graph, subset) -> int:
     """GF(2) rank of the adjacency block between the subset and its complement."""
     a_mask = as_mask(g.n, subset)
-    _check_bipartition(g, a_mask)
+    if a_mask == 0 or a_mask == g.vertex_mask():
+        raise ValueError("bipartition needs a nonempty proper vertex subset")
     return _cross_rank(g, a_mask)
 
 
@@ -324,57 +328,6 @@ def pauli_persistency(g: Graph, depth_limit: int | None = None) -> int:
 def bounds(g: Graph, depth_limit: int | None = None) -> BoundsReport:
     lower, upper, cover = _bounds_parts(g, depth_limit)
     return BoundsReport(lower, upper, cover, lower == upper)
-
-
-def max_rank_criterion(g: Graph, subset) -> bool:
-    """Sufficient test for a bipartition to reach the maximal Schmidt rank
-    min(|A|, |B|).
-
-    Component-wise on the cross subgraph: every component must be acyclic and
-    have at most one leaf in its smaller side, which forces that component's
-    cross block to full rank min(|A and C|, |B and C|); those per-component
-    maxima must additionally add up to min(|A|, |B|) (isolated or lopsided
-    components would otherwise leave rank on the table).
-    """
-    a_mask = as_mask(g.n, subset)
-    _check_bipartition(g, a_mask)
-    b_mask = g.vertex_mask() & ~a_mask
-    cross_rows = tuple(
-        (g.rows[v] & b_mask) if (a_mask >> v) & 1 else (g.rows[v] & a_mask)
-        for v in range(g.n))
-    cross = _graph(g.n, cross_rows)
-    rank_sum = 0
-    for comp in connected_components(cross):
-        verts = list(bits_of(comp))
-        edges = sum(cross.rows[v].bit_count() for v in verts) // 2
-        if edges >= len(verts):
-            return False  # a cycle
-        in_a = (comp & a_mask).bit_count()
-        in_b = (comp & b_mask).bit_count()
-        if in_a < in_b:
-            small_sides = (comp & a_mask,)
-        elif in_b < in_a:
-            small_sides = (comp & b_mask,)
-        else:
-            small_sides = (comp & a_mask, comp & b_mask)
-        if not any(sum(1 for v in bits_of(side)
-                       if cross.rows[v].bit_count() == 1) <= 1
-                   for side in small_sides):
-            return False
-        rank_sum += min(in_a, in_b)
-    return rank_sum == min(a_mask.bit_count(), b_mask.bit_count())
-
-
-def two_colorable_bounds(g: Graph) -> tuple[int, int]:
-    """(lower, upper) Schmidt-measure bounds special to 2-colorable graphs:
-    half the adjacency rank, and the size of the smaller color class."""
-    coloring = two_coloring(g)
-    if coloring is None:
-        raise ValueError("graph has an odd cycle, not 2-colorable")
-    rank = gf2_rank_of_rows(g.rows, g.n)
-    lower = (rank + 1) // 2
-    upper = min(coloring[0].bit_count(), coloring[1].bit_count())
-    return lower, upper
 
 
 def bounds_record(g: Graph, depth_limit: int | None = None) -> dict:

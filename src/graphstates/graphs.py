@@ -56,20 +56,6 @@ class Graph:
                 if ((ra >> b) & 1) != ((self.rows[b] >> a) & 1):
                     raise ValueError("adjacency must be symmetric")
 
-    def neighborhood(self, a: int) -> int:
-        """Mask of vertices adjacent to a (never contains a itself)."""
-        self._check_vertex(a)
-        return self.rows[a]
-
-    def degree(self, a: int) -> int:
-        self._check_vertex(a)
-        return self.rows[a].bit_count()
-
-    def has_edge(self, a: int, b: int) -> bool:
-        self._check_vertex(a)
-        self._check_vertex(b)
-        return bool((self.rows[a] >> b) & 1)
-
     @property
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
@@ -301,35 +287,6 @@ def induced_subgraph(g: Graph, subset) -> Graph:
     return _graph(len(keep), tuple(rows))
 
 
-def sym_diff_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Symmetric difference of the edge set with the given vertex pairs."""
-    rows = list(g.rows)
-    seen = set()
-    for a, b in edges:
-        if a == b:
-            raise ValueError("loops are not allowed")
-        g._check_vertex(a)
-        g._check_vertex(b)
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise ValueError(f"duplicate pair {key} in edge set")
-        seen.add(key)
-        rows[a] ^= 1 << b
-        rows[b] ^= 1 << a
-    return _graph(g.n, tuple(rows))
-
-
-def edges_between(g: Graph, a_set, b_set) -> list[tuple[int, int]]:
-    """Edges of g with one endpoint in each set (sets may overlap)."""
-    am = as_mask(g.n, a_set)
-    bm = as_mask(g.n, b_set)
-    out = set()
-    for u in bits_of(am):
-        for v in bits_of(g.rows[u] & bm & ~(1 << u)):
-            out.add((min(u, v), max(u, v)))
-    return sorted(out)
-
-
 def _lc_rows(rows: tuple[int, ...], a: int) -> tuple[int, ...]:
     nb = rows[a]
     out = list(rows)
@@ -470,19 +427,8 @@ def min_vertex_cover(g: Graph) -> int:
     return best_mask
 
 
-def is_vertex_cover(g: Graph, subset) -> bool:
-    """True iff every edge of g has at least one endpoint in subset.
-
-    subset is an int mask or an iterable of vertex indices, coerced as by
-    as_mask.  An edgeless graph is covered by the empty set.
-    """
-    mask = as_mask(g.n, subset)
-    # an edge is uncovered iff both ends lie outside the mask
-    return all(not g.rows[a] & ~mask for a in range(g.n) if not mask >> a & 1)
-
-
 # ---------------------------------------------------------------------------
-# twins, canonical forms and isomorphism
+# twins and canonical forms
 
 def twin_reps(rows: tuple[int, ...]) -> list[int]:
     """reps[v]: the least vertex that is a twin of v, or v itself.
@@ -637,14 +583,6 @@ def canonical_form(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     cells = [g.vertex_mask()] if n else []
     search(_refine(rows, cells, cells), [])
     return _graph(n, best), tuple(best_order)
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    if sorted(r.bit_count() for r in g.rows) != sorted(r.bit_count() for r in h.rows):
-        return False
-    return canonical_form(g)[0].rows == canonical_form(h)[0].rows
 
 
 # ---------------------------------------------------------------------------

@@ -162,8 +162,10 @@ def run_sequence(g: Graph, steps, rng=None) -> tuple[list[dict], Graph, LocalCli
     transcript = []
     for vertex, basis, sign in steps:
         _check_basis(basis)
-        drawn = sign is None and rng is not None
+        drawn = sign is None
         if drawn:
+            if rng is None:
+                raise ValueError(f"no rng to draw the outcome of {basis} at vertex {vertex}")
             sign = 1 if rng.random() < 0.5 else -1
         elif sign not in (1, -1):
             raise ValueError("outcome must be +1 or -1")

@@ -27,10 +27,9 @@ symbolic walk instead of being its source.
 
 The oracle reads a graph only through its adjacency rows and a local
 Clifford only through CLIFFORD_MATRICES.  It uses no graph rule
-(measurement, local complementation), and no symbolic stabilizer table
-(axis images, composition) outside that import check and
-clifford_index_of_matrix, so the checks built on it stay independent of the
-rules they check.
+(measurement, local complementation), and only its import check reads the
+symbolic stabilizer tables (axis images, H/S words), so the checks built on
+it stay independent of the rules they check.
 """
 
 from __future__ import annotations
@@ -53,26 +52,14 @@ TRACE_FORM_CAP = 10  # vertices before verify_partial_trace_form gives up
 PHASE_TOL = 1e-9
 RANK_TOL = 1e-8
 
-_SQ2 = 1.0 / np.sqrt(2.0)
-
 PAULI_MATRICES = {
     AXIS_X: np.array([[0, 1], [1, 0]], dtype=complex),
     AXIS_Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
     AXIS_Z: np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-_H_MATRIX = _SQ2 * np.array([[1, 1], [1, -1]], dtype=complex)
+_H_MATRIX = 1.0 / np.sqrt(2.0) * np.array([[1, 1], [1, -1]], dtype=complex)
 _S_MATRIX = np.array([[1, 0], [0, 1j]], dtype=complex)
-
-# principal square roots of +-i sigma_a (the byproduct alphabet)
-SQRT_MATRICES = {
-    ("x", +1): _SQ2 * np.array([[1, 1j], [1j, 1]], dtype=complex),    # (+i sx)^1/2
-    ("x", -1): _SQ2 * np.array([[1, -1j], [-1j, 1]], dtype=complex),  # (-i sx)^1/2
-    ("y", +1): _SQ2 * np.array([[1, 1], [-1, 1]], dtype=complex),     # (+i sy)^1/2
-    ("y", -1): _SQ2 * np.array([[1, -1], [1, 1]], dtype=complex),     # (-i sy)^1/2
-    ("z", +1): np.array([[np.exp(1j * np.pi / 4), 0], [0, np.exp(-1j * np.pi / 4)]]),
-    ("z", -1): np.array([[np.exp(-1j * np.pi / 4), 0], [0, np.exp(1j * np.pi / 4)]]),
-}
 
 
 def _normalize_phase(m: np.ndarray) -> np.ndarray:
@@ -117,12 +104,6 @@ def _clifford_matrices() -> np.ndarray:
 
 
 CLIFFORD_MATRICES = _clifford_matrices()
-
-
-def clifford_index_of_matrix(m: np.ndarray) -> int:
-    """Table index of a single-qubit Clifford matrix, up to global phase;
-    ValueError for any other matrix."""
-    return CLIFFORD_AXIS_IMAGE.index(_axis_action(m))
 
 
 _BASIS_VECTORS = {

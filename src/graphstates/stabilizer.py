@@ -111,9 +111,6 @@ class PauliOp:
             raise ValueError("support outside of qubit range")
         object.__setattr__(self, "phase", self.phase % 4)
 
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0 and self.phase == 0
-
     def __str__(self) -> str:
         """Human-readable form like '+XZZI' or '-iYY'."""
         y_count = (self.x & self.z).bit_count()
@@ -132,11 +129,6 @@ def pauli_product(p: PauliOp, q: PauliOp) -> PauliOp:
         raise ValueError("size mismatch")
     extra = 2 * ((p.z & q.x).bit_count() & 1)  # Z X = - X Z per site
     return PauliOp(p.n, p.x ^ q.x, p.z ^ q.z, p.phase + q.phase + extra)
-
-
-def commutes(p: PauliOp, q: PauliOp) -> bool:
-    """Symplectic inner product is zero."""
-    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
 
 
 def stabilizer_generator(g: Graph, a: int) -> PauliOp:
@@ -169,9 +161,6 @@ class LocalClifford:
     @property
     def n(self) -> int:
         return len(self.indices)
-
-    def is_identity(self) -> bool:
-        return all(i == CL_I for i in self.indices)
 
     def __str__(self) -> str:
         parts = [f"{CLIFFORD_NAMES[idx]}@{v}" for v, idx in enumerate(self.indices)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import graphstates
-from graphstates import cli, measurement, oracle
+from graphstates import cli, entanglement, measurement, oracle
 from graphstates.cli import main
 from graphstates.graphs import cycle_graph, empty_graph, star_graph, to_graph6
 from graphstates.orbits import CSV_HEADER
@@ -116,6 +116,23 @@ def test_smallest_accepted_integers(capsys):
 def test_cap_exceeded_exits_two(capsys):
     g6 = to_graph6(cycle_graph(6))
     assert main(["bounds", g6, "--max-vertices", "4"]) == 2
+
+
+def test_bounds_checks_every_graph_size_before_any_bounds(tmp_path, capsys, monkeypatch):
+    calls = 0
+    original = entanglement.bounds_record
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(entanglement, "bounds_record", counting)
+    path = tmp_path / "graphs.g6"
+    path.write_text("".join(to_graph6(cycle_graph(n)) + "\n" for n in (9, 9, 9, 13)))
+    assert main(["bounds", str(path)]) == 2
+    assert calls == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_classify_two(capsys):

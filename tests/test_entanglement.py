@@ -15,15 +15,14 @@ from graphstates.entanglement import (
     SEARCH_NODE_CAP,
     bounds,
     lower_bound_max_rank,
-    max_rank_criterion,
     pauli_persistency,
     rank_index,
     schmidt_rank,
-    two_colorable_bounds,
 )
-from graphstates.gf2 import gf2_kernel_basis
+from graphstates.gf2 import gf2_kernel_basis, gf2_rank_of_rows
 from graphstates.graphs import (
     CapExceeded,
+    Graph,
     bits_of,
     complete_graph,
     connected_components,
@@ -40,7 +39,9 @@ from graphstates.graphs import (
     random_tree,
     relabel,
     star_graph,
+    to_graph6,
     toggle_edge,
+    two_coloring,
 )
 from graphstates.measurement import measure_via_lc
 from graphstates.orbits import lc_equivalent
@@ -489,6 +490,68 @@ def test_bounds_match_the_frozen_benchmark_pool():
         rep = bounds(parse_graph6(entry["graph6"]))
         assert (rep.lower, rep.upper, rep.cover_size) == (
             entry["lower"], entry["upper"], entry["cover"]), entry["graph6"]
+
+
+def test_persistency_is_the_least_cover_over_the_lc_class(lc_classes7, classification7):
+    # the vertex-minor argument of the module docstring, checked without the
+    # measurement rules.  Every representative up to n = 7 has the least
+    # cover of its class, where a search that refutes too much still gives
+    # the cover, so the member with the largest cover is searched as well.
+    upper_of = {r.representative: r.upper for r in classification7}
+    for cls in lc_classes7:
+        rep = min(cls, key=lambda g: (g.edge_count, to_graph6(g)))
+        covers = [min_vertex_cover(g).bit_count() for g in cls]
+        assert upper_of[to_graph6(rep)] == min(covers), to_graph6(rep)
+        worst = cls[covers.index(max(covers))]
+        assert pauli_persistency(worst) == min(covers), to_graph6(worst)
+    assert len(lc_classes7) == 45
+    assert sum(r.lower < r.upper for r in classification7) == 8
+
+
+def max_rank_criterion(g, a_mask):
+    """Sufficient test for a bipartition to reach the maximal Schmidt rank
+    min(|A|, |B|).
+
+    Component-wise on the cross subgraph: every component must be acyclic and
+    have at most one leaf in its smaller side, which forces that component's
+    cross block to full rank min(|A and C|, |B and C|); those per-component
+    maxima must additionally add up to min(|A|, |B|) (isolated or lopsided
+    components would otherwise leave rank on the table).
+    """
+    b_mask = g.vertex_mask() & ~a_mask
+    cross = Graph(g.n, tuple(
+        (g.rows[v] & b_mask) if (a_mask >> v) & 1 else (g.rows[v] & a_mask)
+        for v in range(g.n)))
+    rank_sum = 0
+    for comp in connected_components(cross):
+        verts = list(bits_of(comp))
+        edges = sum(cross.rows[v].bit_count() for v in verts) // 2
+        if edges >= len(verts):
+            return False  # a cycle
+        in_a = (comp & a_mask).bit_count()
+        in_b = (comp & b_mask).bit_count()
+        if in_a < in_b:
+            small_sides = (comp & a_mask,)
+        elif in_b < in_a:
+            small_sides = (comp & b_mask,)
+        else:
+            small_sides = (comp & a_mask, comp & b_mask)
+        if not any(sum(1 for v in bits_of(side)
+                       if cross.rows[v].bit_count() == 1) <= 1
+                   for side in small_sides):
+            return False
+        rank_sum += min(in_a, in_b)
+    return rank_sum == min(a_mask.bit_count(), b_mask.bit_count())
+
+
+def two_colorable_bounds(g):
+    """(lower, upper) Schmidt-measure bounds special to 2-colorable graphs:
+    half the adjacency rank, and the size of the smaller color class."""
+    coloring = two_coloring(g)
+    if coloring is None:
+        raise ValueError("graph has an odd cycle, not 2-colorable")
+    lower = (gf2_rank_of_rows(g.rows, g.n) + 1) // 2
+    return lower, min(coloring[0].bit_count(), coloring[1].bit_count())
 
 
 def test_max_rank_criterion_on_six_ring():

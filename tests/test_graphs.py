@@ -20,15 +20,12 @@ from graphstates.graphs import (
     complete_graph,
     cycle_graph,
     delete_vertex,
-    edges_between,
     empty_graph,
     from_edges,
     greedy_vertex_cover,
     grid_graph,
     induced_subgraph,
     is_connected,
-    is_isomorphic,
-    is_vertex_cover,
     local_complement,
     min_vertex_cover,
     parse_graph6,
@@ -38,19 +35,11 @@ from graphstates.graphs import (
     random_tree,
     relabel,
     star_graph,
-    sym_diff_edges,
     to_graph6,
     toggle_edge,
     twin_reps,
     two_coloring,
 )
-
-
-def test_neighborhoods():
-    star = star_graph(4)
-    assert star.neighborhood(0) == 0b1110
-    assert from_edges(3, [(0, 1)]).neighborhood(2) == 0
-    assert list(bits_of(path_graph(3).neighborhood(1))) == [0, 2]
 
 
 def test_graph_validation():
@@ -76,25 +65,6 @@ def test_induced_subgraph_of_cycle_is_path():
     c5 = cycle_graph(5)
     sub = induced_subgraph(c5, [1, 2, 3])
     assert sub.rows == path_graph(3).rows
-
-
-def test_sym_diff():
-    p3 = path_graph(3)
-    assert sym_diff_edges(p3, p3.edges()).edge_count == 0
-    assert sym_diff_edges(p3, []).rows == p3.rows
-    assert sym_diff_edges(p3, [(0, 2)]).rows == complete_graph(3).rows
-    with pytest.raises(ValueError):
-        sym_diff_edges(p3, [(1, 1)])
-
-
-def test_edges_between():
-    c6 = cycle_graph(6)
-    all_edges = edges_between(c6, c6.vertex_mask(), c6.vertex_mask())
-    assert sorted(all_edges) == sorted(c6.edges())
-    a = as_mask(c6.n, [0, 1, 4])
-    b = c6.vertex_mask() & ~a
-    assert edges_between(c6, a, b) == [(0, 5), (1, 2), (3, 4), (4, 5)]
-    assert edges_between(c6, as_mask(c6.n, [0]), as_mask(c6.n, [3])) == []
 
 
 def test_local_complement_star_is_complete():
@@ -129,10 +99,14 @@ def test_two_coloring():
     assert c0 == 0b010101  # even positions rooted at 0
 
 
+def _covers(g, mask):
+    return all((mask >> a | mask >> b) & 1 for a, b in g.edges())
+
+
 def _brute_min_cover_size(g):
     for size in range(g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
-            if is_vertex_cover(g, combo):
+            if _covers(g, as_mask(g.n, combo)):
                 return size
     raise AssertionError
 
@@ -148,7 +122,7 @@ def test_min_vertex_cover_against_brute_force():
     for _ in range(60):
         g = random_connected_graph(rng, rng.randrange(2, 8))
         mask = min_vertex_cover(g)
-        assert is_vertex_cover(g, mask)
+        assert _covers(g, mask)
         assert mask.bit_count() == _brute_min_cover_size(g)
         assert greedy_vertex_cover(g).bit_count() >= mask.bit_count()
 
@@ -178,23 +152,7 @@ def test_greedy_cover_matches_the_rescanning_rule():
     for g in graphs:
         mask = greedy_vertex_cover(g)
         assert mask == _reference_greedy_cover(g), g.rows
-        assert is_vertex_cover(g, mask)
-
-
-def test_is_vertex_cover_checks_every_edge():
-    p4 = path_graph(4)
-    assert not is_vertex_cover(p4, [0, 3])  # edge 1-2 uncovered
-    assert not is_vertex_cover(p4, [1])  # edge 2-3 uncovered
-    assert is_vertex_cover(p4, [1, 2])
-    assert is_vertex_cover(p4, 0b0101)  # {0, 2}
-    assert is_vertex_cover(empty_graph(3), [])
-    rng = random.Random(11)
-    for _ in range(30):
-        g = random_connected_graph(rng, rng.randrange(2, 8), 0.4)
-        edges = g.edges()
-        for mask in range(1 << g.n):
-            edgewise = all((mask >> a | mask >> b) & 1 for a, b in edges)
-            assert is_vertex_cover(g, mask) == edgewise
+        assert _covers(g, mask)
 
 
 def test_canonical_form_is_relabeling_invariant():
@@ -211,11 +169,6 @@ def test_canonical_witness_permutation():
         g = random_connected_graph(rng, rng.randrange(2, 8))
         canon, perm = canonical_form(g)
         assert relabel(g, perm).rows == canon.rows
-
-
-def test_isomorphism():
-    assert not is_isomorphic(path_graph(4), star_graph(4))
-    assert is_isomorphic(cycle_graph(5), relabel(cycle_graph(5), (3, 1, 4, 2, 0)))
 
 
 def _all_labelled_graphs(n):
@@ -468,4 +421,4 @@ def test_random_connected_graph_rejects_hopeless_p():
 def test_petersen_shape():
     g = petersen_graph()
     assert g.n == 10 and g.edge_count == 15
-    assert all(g.degree(v) == 3 for v in range(10))
+    assert all(r.bit_count() == 3 for r in g.rows)

@@ -22,6 +22,24 @@ from graphstates.graphs import (
 )
 from graphstates.measurement import conjugate_basis
 
+_SQ2 = 1.0 / np.sqrt(2.0)
+
+# principal square roots of +-i sigma_a (the byproduct alphabet)
+SQRT_MATRICES = {
+    ("x", +1): _SQ2 * np.array([[1, 1j], [1j, 1]], dtype=complex),    # (+i sx)^1/2
+    ("x", -1): _SQ2 * np.array([[1, -1j], [-1j, 1]], dtype=complex),  # (-i sx)^1/2
+    ("y", +1): _SQ2 * np.array([[1, 1], [-1, 1]], dtype=complex),     # (+i sy)^1/2
+    ("y", -1): _SQ2 * np.array([[1, -1], [1, 1]], dtype=complex),     # (-i sy)^1/2
+    ("z", +1): np.array([[np.exp(1j * np.pi / 4), 0], [0, np.exp(-1j * np.pi / 4)]]),
+    ("z", -1): np.array([[np.exp(-1j * np.pi / 4), 0], [0, np.exp(1j * np.pi / 4)]]),
+}
+
+
+def clifford_index_of_matrix(m: np.ndarray) -> int:
+    """Table index of a single-qubit Clifford matrix, up to global phase;
+    ValueError for any other matrix."""
+    return st.CLIFFORD_AXIS_IMAGE.index(oracle._axis_action(m))
+
 
 def _pauli_matrix(p: st.PauliOp) -> np.ndarray:
     m = np.array([[1.0 + 0j]])
@@ -45,7 +63,7 @@ def test_product_identity_and_involution():
     g = cycle_graph(4)
     k = st.stabilizer_generator(g, 0)
     assert st.pauli_product(k, st.identity_pauli(4)) == k
-    assert st.pauli_product(k, k).is_identity()
+    assert st.pauli_product(k, k) == st.identity_pauli(4)
 
 
 def test_single_site_xz_product():
@@ -61,12 +79,13 @@ def test_generators_commute_exhaustively(connected_classes):
             gens = [st.stabilizer_generator(g, a) for a in range(n)]
             for i in range(n):
                 for j in range(i, n):
-                    assert st.commutes(gens[i], gens[j])
+                    assert st.pauli_product(gens[i], gens[j]) == \
+                        st.pauli_product(gens[j], gens[i])
 
 
 def test_stabilizer_element_examples():
     k2 = from_edges(2, [(0, 1)])
-    assert st.stabilizer_element(k2, 0).is_identity()
+    assert st.stabilizer_element(k2, 0) == st.identity_pauli(2)
     assert st.stabilizer_element(k2, 0b01) == st.stabilizer_generator(k2, 0)
     assert str(st.stabilizer_element(k2, 0b11)) == "+YY"
 
@@ -162,7 +181,7 @@ def test_clifford_table_is_a_group_of_24():
 
 
 def test_sqrt_matrices_square_to_targets():
-    for (axis, sign), m in oracle.SQRT_MATRICES.items():
+    for (axis, sign), m in SQRT_MATRICES.items():
         target = sign * 1j * oracle.PAULI_MATRICES["xyz".index(axis)]
         assert np.allclose(m @ m, target, atol=1e-9)
 
@@ -223,17 +242,17 @@ def test_compose_matches_matrix_product():
     for i in range(24):
         for j in range(24):
             m = oracle.CLIFFORD_MATRICES[i] @ oracle.CLIFFORD_MATRICES[j]
-            assert oracle.clifford_index_of_matrix(m) == st.CLIFFORD_COMPOSE[i][j]
+            assert clifford_index_of_matrix(m) == st.CLIFFORD_COMPOSE[i][j]
 
 
 def test_inverse_matches_conjugate_transpose():
     for i in range(24):
         m = oracle.CLIFFORD_MATRICES[i].conj().T
-        assert oracle.clifford_index_of_matrix(m) == st.CLIFFORD_INVERSE[i]
+        assert clifford_index_of_matrix(m) == st.CLIFFORD_INVERSE[i]
 
 
 def test_index_of_matrix_ignores_global_phase():
-    assert oracle.clifford_index_of_matrix(np.exp(0.3j) * oracle.CLIFFORD_MATRICES[5]) == 5
+    assert clifford_index_of_matrix(np.exp(0.3j) * oracle.CLIFFORD_MATRICES[5]) == 5
 
 
 @pytest.mark.parametrize("m", [
@@ -244,7 +263,7 @@ def test_index_of_matrix_ignores_global_phase():
 ])
 def test_index_of_matrix_rejects_non_cliffords(m):
     with pytest.raises(ValueError):
-        oracle.clifford_index_of_matrix(m.astype(complex))
+        oracle._axis_action(m.astype(complex))
 
 
 def test_table_order_is_pinned():
@@ -263,7 +282,7 @@ def test_named_cliffords_match_their_matrices():
     # the constants are literal axis actions; each must name the table index
     # of the matrix it stands for (S and S^dagger share theirs with the
     # square roots of -+i sigma_z)
-    pauli, sqrt = oracle.PAULI_MATRICES, oracle.SQRT_MATRICES
+    pauli, sqrt = oracle.PAULI_MATRICES, SQRT_MATRICES
     pairs = [
         (st.CL_I, np.eye(2, dtype=complex)),
         (st.CL_X, pauli[st.AXIS_X]),
@@ -280,7 +299,7 @@ def test_named_cliffords_match_their_matrices():
         (st.CLIFFORD_NAMES.index("Qx+"), sqrt["x", +1]),
     ]
     for idx, m in pairs:
-        assert oracle.clifford_index_of_matrix(m) == idx
+        assert clifford_index_of_matrix(m) == idx
 
 
 def test_local_complement_clifford_shape():
