@@ -50,11 +50,10 @@ from .measurement import (
 )
 from .entanglement import (
     BoundsReport,
-    RankIndex,
     bounds,
     lower_bound_max_rank,
     pauli_persistency,
-    rank_index,
+    rank_indices,
     schmidt_rank,
 )
 from .orbits import (

@@ -24,8 +24,8 @@ at least k form one), and the kernel searches for such an A by independence
 of 2k vectors (see its docstring).  The maximum is the first k, from
 min(floor(n/2), c) down, for which the kernel finds a set, where c is the
 greedy vertex cover size: every cross edge has an end in a cover, so no cut
-rank exceeds c.  rank_index still walks every split with smaller side k
-(_splits).
+rank exceeds c.  The rank indices come from one walk over the sets of at
+most 3 vertices that keeps the same XOR basis (rank_indices).
 
 The persistency search prunes by cut rank at every node, which is the lower
 bound applied below the root.  A measurement takes a graph to a
@@ -64,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import gf2_rank_of_rows
+from .gf2 import _insert, gf2_rank_of_rows
 from .graphs import (
     CapExceeded,
     Graph,
@@ -92,18 +92,6 @@ class BoundsReport:
     tight: bool
 
 
-@dataclass(frozen=True)
-class RankIndex:
-    """Histogram of ranks over the bipartitions with smaller side k.
-
-    counts[0] is the number of splits with rank k, counts[1] with rank k-1,
-    down to counts[k-1] with rank 1.
-    """
-
-    k: int
-    counts: tuple[int, ...]
-
-
 def _cross_rank(g: Graph, a_mask: int) -> int:
     b_mask = g.vertex_mask() & ~a_mask
     rows = g.rows
@@ -115,24 +103,6 @@ def _cross_rank(g: Graph, a_mask: int) -> int:
     return gf2_rank_of_rows(cross, g.n)
 
 
-def _splits(n: int, k: int):
-    """Smaller side A of every unordered split of n vertices with |A| = k,
-    for 1 <= k <= n/2, as masks in increasing numeric order.  When 2k = n,
-    vertex 0 stays on side A so that each split is listed once."""
-    fixed = 0
-    if 2 * k == n:  # vertex 0 on side A: choose the other k - 1 from 1..n-1
-        n, k, fixed = n - 1, k - 1, 1
-    if k == 0:
-        yield fixed
-        return
-    m = (1 << k) - 1
-    while m >> n == 0:  # Gosper's hack: the next larger mask with k bits
-        yield m << fixed | fixed
-        lsb = m & -m
-        ripple = m + lsb
-        m = ripple | ((m ^ ripple) >> 2) // lsb
-
-
 def schmidt_rank(g: Graph, subset) -> int:
     """GF(2) rank of the adjacency block between the subset and its complement."""
     a_mask = as_mask(g.n, subset)
@@ -141,18 +111,39 @@ def schmidt_rank(g: Graph, subset) -> int:
     return _cross_rank(g, a_mask)
 
 
-def rank_index(g: Graph, k: int) -> RankIndex:
-    """Rank histogram over all unordered bipartitions with smaller side k."""
-    if k not in (2, 3):
-        raise ValueError("rank indices are tabulated for k = 2 or 3")
-    if k > g.n // 2:
-        raise ValueError(f"k={k} exceeds floor(n/2) for n={g.n}")
-    if not is_connected(g):
-        raise ValueError("rank_index expects a connected graph")
-    counts = [0] * k
-    for a_mask in _splits(g.n, k):
-        counts[k - _cross_rank(g, a_mask)] += 1
-    return RankIndex(k, tuple(counts))
+def rank_indices(g: Graph) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+    """(RI_2, RI_3): for k = 2 and 3, the histogram of cut ranks over the
+    unordered splits whose smaller side has k vertices.  counts[0] is the
+    number of splits with rank k, down to counts[k-1] with rank 1.  An index
+    is None when k > n/2 or g is not connected.
+
+    One depth-first walk over the sets A with |A| <= 3, in vertex order,
+    keeps one XOR basis of {row_a, e_a : a in A}, undone on backtracking;
+    A's cut rank is its dimension minus |A| (see _full_rank_split).  When
+    2k = n only the sets that hold vertex 0 count, so each split counts once.
+    """
+    n, rows = g.n, g.rows
+    top = min(3, n // 2) if is_connected(g) else 0
+    counts = [[0] * k for k in range(top + 1)]  # counts[k][k - rank]
+    basis = [0] * (n + 1)
+
+    def walk(start: int, size: int, dim: int, with0: bool) -> None:
+        size += 1
+        for v in range(start, n):
+            s1 = _insert(basis, 1 << v)
+            s2 = _insert(basis, rows[v])
+            d = dim + (s1 > 0) + (s2 > 0)
+            w0 = with0 or v == 0
+            if size >= 2 and (2 * size < n or w0):
+                counts[size][2 * size - d] += 1
+            if size < top:
+                walk(v + 1, size, d, w0)
+            basis[s2] = 0
+            basis[s1] = 0
+
+    if top >= 2:
+        walk(0, 0, 0, False)
+    return tuple(tuple(counts[k]) if k <= top else None for k in (2, 3))
 
 
 def _full_rank_split(rows: tuple[int, ...], n: int, k: int) -> int:
@@ -171,22 +162,11 @@ def _full_rank_split(rows: tuple[int, ...], n: int, k: int) -> int:
     basis_a = [0] * (n + 1)
     basis_b = [0] * (n + 1)
 
-    def insert(basis: list[int], x: int) -> int:
-        # the slot x took, or 0 when x is in the span
-        while x:
-            t = x.bit_length()
-            b = basis[t]
-            if not b:
-                basis[t] = x
-                return t
-            x ^= b
-        return 0
-
     def place(v: int, a_mask: int, size_a: int, size_b: int, dep_b: int) -> int:
         bit = 1 << v
-        s1 = insert(basis_a, bit)
+        s1 = _insert(basis_a, bit)
         if s1:
-            s2 = insert(basis_a, rows[v])
+            s2 = _insert(basis_a, rows[v])
             if s2:
                 found = (a_mask | bit if size_a + 1 == k
                          else place(v + 1, a_mask | bit, size_a + 1, size_b, dep_b))
@@ -196,11 +176,11 @@ def _full_rank_split(rows: tuple[int, ...], n: int, k: int) -> int:
             basis_a[s1] = 0
         if size_b == n - k or (v == 0 and slack == 0):
             return 0
-        s1 = insert(basis_b, bit)
-        s2 = insert(basis_b, rows[v])
+        s1 = _insert(basis_b, bit)
+        s2 = _insert(basis_b, rows[v])
         dep = dep_b + (not s1) + (not s2)
         found = place(v + 1, a_mask, size_a, size_b + 1, dep) if dep <= slack else 0
-        basis_b[s2] = 0  # slot 0 is never a leading bit, so clearing it is harmless
+        basis_b[s2] = 0
         basis_b[s1] = 0
         return found
 
@@ -333,15 +313,14 @@ def bounds(g: Graph, depth_limit: int | None = None) -> BoundsReport:
 def bounds_record(g: Graph, depth_limit: int | None = None) -> dict:
     """Flat record used for CSV/JSON rendering of a bounds query."""
     rep = bounds(g, depth_limit)
-    connected = is_connected(g)
-    record = {
+    ri_2, ri_3 = rank_indices(g)
+    return {
         "graph6": to_graph6(g),
         "lower": rep.lower,
         "upper": rep.upper,
         "cover_size": rep.cover_size,
         "tight": rep.tight,
-        "RI_2": rank_index(g, 2).counts if connected and 2 <= g.n // 2 else None,
-        "RI_3": rank_index(g, 3).counts if connected and 3 <= g.n // 2 else None,
+        "RI_2": ri_2,
+        "RI_3": ri_3,
         "two_colorable": two_coloring(g) is not None,
     }
-    return record

@@ -8,24 +8,25 @@ without an explicit packing layer.
 from __future__ import annotations
 
 
-def gf2_rank_of_rows(rows, n_cols: int) -> int:
-    """Rank of raw int rows over GF(2); every row must lie below 2**n_cols.
+def _insert(basis: list[int], x: int) -> int:
+    """Reduce x by an XOR basis indexed by leading bit (basis[t] has
+    bit_length t) and store what is left: the slot it took, or 0 when x is
+    in the span.  Slot 0 is never a leading bit, so basis[slot] = 0 undoes
+    an insert either way."""
+    while x:
+        t = x.bit_length()
+        b = basis[t]
+        if not b:
+            basis[t] = x
+            return t
+        x ^= b
+    return 0
 
-    An XOR basis indexed by leading bit: each row is reduced by the basis row
-    with its current leading bit until it vanishes or takes a free one.
-    """
-    basis = [0] * (n_cols + 1)  # basis[t]: the basis row whose bit_length is t
-    rank = 0
-    for r in rows:
-        while r:
-            top = r.bit_length()
-            b = basis[top]
-            if not b:
-                basis[top] = r
-                rank += 1
-                break
-            r ^= b
-    return rank
+
+def gf2_rank_of_rows(rows, n_cols: int) -> int:
+    """Rank of raw int rows over GF(2); every row must lie below 2**n_cols."""
+    basis = [0] * (n_cols + 1)
+    return sum(1 for r in rows if _insert(basis, r))
 
 
 def gf2_kernel_basis(rows, n_cols: int) -> list[int]:

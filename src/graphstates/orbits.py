@@ -39,7 +39,7 @@ import json
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .entanglement import lower_bound_max_rank, pauli_persistency, rank_index
+from .entanglement import lower_bound_max_rank, pauli_persistency, rank_indices
 from .gf2 import gf2_kernel_basis
 from .graphs import (
     CapExceeded,
@@ -354,6 +354,7 @@ def classify(n_max: int) -> list[ClassRecord]:
         histogram = [0] * (rep.n * (rep.n - 1) // 2 + 1)
         for g in members:
             histogram[g.edge_count] += 1
+        ri_2, ri_3 = _constant(members, rank_indices, "rank indices")
         records.append(ClassRecord(
             class_id=0,  # numbered after the sort
             representative=to_graph6(rep),
@@ -362,10 +363,8 @@ def classify(n_max: int) -> list[ClassRecord]:
             n_edges=rep.edge_count,
             lower=_constant(members, lower_bound_max_rank, "lower bound"),
             upper=pauli_persistency(rep),
-            ri_3=_constant(members, lambda g: rank_index(g, 3).counts, "ri_3")
-            if rep.n >= 6 else None,
-            ri_2=_constant(members, lambda g: rank_index(g, 2).counts, "ri_2")
-            if rep.n >= 4 else None,
+            ri_3=ri_3,
+            ri_2=ri_2,
             has_two_colorable_member=any(two_coloring(g) is not None for g in members),
             edge_histogram=tuple(histogram),
         ))

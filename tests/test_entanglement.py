@@ -3,7 +3,6 @@
 import itertools
 import json
 import random
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,7 @@ from graphstates.entanglement import (
     bounds,
     lower_bound_max_rank,
     pauli_persistency,
-    rank_index,
+    rank_indices,
     schmidt_rank,
 )
 from graphstates.gf2 import gf2_kernel_basis, gf2_rank_of_rows
@@ -32,6 +31,8 @@ from graphstates.graphs import (
     from_edges,
     greedy_vertex_cover,
     grid_graph,
+    is_connected,
+    local_complement,
     min_vertex_cover,
     parse_graph6,
     path_graph,
@@ -90,22 +91,25 @@ def test_rank_rejects_improper_subsets():
 
 
 def test_rank_index_star_seven():
-    assert rank_index(star_graph(7), 3).counts == (0, 0, 35)
-    assert rank_index(star_graph(7), 2).counts == (0, 21)
+    assert rank_indices(star_graph(7)) == ((0, 21), (0, 0, 35))
 
 
 def test_rank_index_counts_sum():
     rng = random.Random(19)
     for _ in range(20):
-        g = random_connected_graph(rng, 7)
-        assert sum(rank_index(g, 2).counts) == 21
-        assert sum(rank_index(g, 3).counts) == 35
-    assert sum(rank_index(cycle_graph(6), 3).counts) == 10  # halves counted once
+        ri_2, ri_3 = rank_indices(random_connected_graph(rng, 7))
+        assert sum(ri_2) == 21
+        assert sum(ri_3) == 35
+    assert sum(rank_indices(cycle_graph(6))[1]) == 10  # halves counted once
 
 
-def test_rank_index_rejects_oversized_k():
-    with pytest.raises(ValueError):
-        rank_index(path_graph(5), 3)
+def test_rank_indices_are_none_past_half_the_vertices_or_when_disconnected():
+    for n in range(4):
+        assert rank_indices(path_graph(n)) == (None, None)
+    assert rank_indices(path_graph(4)) == ((2, 1), None)  # rank 2: {0,2}, {0,3}; 1: {0,1}
+    assert rank_indices(cycle_graph(5)) == ((10, 0), None)  # every pair has rank 2
+    two_paths = from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    assert rank_indices(two_paths) == (None, None)
 
 
 def test_lower_bound_examples():
@@ -145,21 +149,15 @@ def _reference_rank_index(g, k):
     return tuple(counts)
 
 
+def _reference_rank_indices(g):
+    return tuple(_reference_rank_index(g, k) if k <= g.n // 2 and is_connected(g) else None
+                 for k in (2, 3))
+
+
 def _labelled_graphs(n):
     pairs = list(itertools.combinations(range(n), 2))
     for keep in range(1 << len(pairs)):
         yield from_edges(n, [e for i, e in enumerate(pairs) if (keep >> i) & 1])
-
-
-def test_splits_list_each_unordered_split_once():
-    for n in range(0, 15):
-        for k in range(1, n // 2 + 1):
-            masks = list(entanglement._splits(n, k))
-            assert len(set(masks)) == len(masks)
-            assert len(masks) == (comb(n, k) // 2 if 2 * k == n else comb(n, k))
-            assert all(m.bit_count() == k and m >> n == 0 for m in masks)
-            if 2 * k == n:
-                assert all(m & 1 for m in masks)  # halves counted once
 
 
 def test_lower_bound_matches_mask_order_scan_on_all_small_labelled_graphs():
@@ -172,9 +170,7 @@ def test_lower_bound_and_rank_index_match_references_on_connected_classes(connec
     for n, classes in connected_classes.items():
         for g in classes:
             assert lower_bound_max_rank(g) == _reference_max_rank(g), g.rows
-            for k in (2, 3):
-                if k <= n // 2:
-                    assert rank_index(g, k).counts == _reference_rank_index(g, k)
+            assert rank_indices(g) == _reference_rank_indices(g), g.rows
 
 
 def test_lower_bound_matches_mask_order_scan_on_random_graphs():
@@ -188,8 +184,7 @@ def test_lower_bound_matches_mask_order_scan_on_random_graphs():
         assert lower_bound_max_rank(empty_graph(n)) == 0 == _reference_max_rank(empty_graph(n))
     for _ in range(10):
         g = random_connected_graph(rng, rng.randrange(6, 13), 0.3)
-        for k in (2, 3):
-            assert rank_index(g, k).counts == _reference_rank_index(g, k)
+        assert rank_indices(g) == _reference_rank_indices(g), g.rows
 
 
 def test_lower_bound_scan_starts_at_the_cover(monkeypatch):
@@ -207,7 +202,8 @@ def test_lower_bound_scan_starts_at_the_cover(monkeypatch):
 
 
 def _brute_full_rank(g, k):
-    return any(entanglement._cross_rank(g, a) == k for a in entanglement._splits(g.n, k))
+    return any(entanglement._cross_rank(g, _mask(a)) == k
+               for a in itertools.combinations(range(g.n), k))
 
 
 def _check_full_rank_split(g):
@@ -279,10 +275,28 @@ def test_one_measurement_lowers_each_cut_rank_by_at_most_one(g):
                 assert entanglement._cross_rank(h, a_h) in (rank, rank - 1)
 
 
+@given(_small_graphs(), st.data())
+def test_rank_indices_match_the_reference_and_survive_lc_and_relabelling(g, data):
+    want = _reference_rank_indices(g)
+    assert rank_indices(g) == want
+    for v in range(g.n):
+        assert rank_indices(local_complement(g, v)) == want
+    perm = data.draw(st.permutations(range(g.n)))
+    assert rank_indices(relabel(g, perm)) == want
+
+
 def test_lower_bound_scan_cap():
     with pytest.raises(CapExceeded):
         lower_bound_max_rank(path_graph(SCAN_CAP + 1))
     assert lower_bound_max_rank(cycle_graph(SCAN_CAP)) == SCAN_CAP // 2
+
+
+# One member of each class up to n = 8 whose persistency a search without
+# the y basis overstates, with the class's persistency.  Representatives and
+# the bounds pool all happen to be searched right without y.
+Y_NEEDED = [("FGE^?", 3), ("F@QFw", 3), ("GGCZCK", 3), ("G@TclO", 4), ("GGC^Cw", 3),
+            ("G_F`ps", 3), ("G@^EL_", 4), ("GGCZC{", 3), ("G`NEH{", 3), ("GK?G^{", 3),
+            ("G@QF~{", 3)]
 
 
 def test_persistency_examples():
@@ -291,6 +305,8 @@ def test_persistency_examples():
     # odd ring: one more measurement than the rank bound suggests
     assert lower_bound_max_rank(cycle_graph(5)) == 2
     assert pauli_persistency(cycle_graph(5)) == 3
+    for graph6, upper in Y_NEEDED:
+        assert pauli_persistency(parse_graph6(graph6)) == upper, graph6
 
 
 def test_persistency_single_y_on_complete_graph():

@@ -5,7 +5,6 @@ import json
 import random
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -40,6 +39,7 @@ from graphstates.stabilizer import (
 )
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+CLASSIFY8 = Path(__file__).resolve().parent / "data" / "classify8.csv"
 LC_POOL = REFERENCE / "lc_pool.json"
 
 
@@ -340,6 +340,15 @@ def test_csv_matches_the_frozen_classify7_table(classification7):
     assert orbits.records_to_csv(records).encode() == (REFERENCE / "classify7.csv").read_bytes()
 
 
+def test_classify_eight_matches_published_counts_and_the_frozen_table(classification8):
+    # 101 classes (OEIS A090899) of 11,117 connected graphs (A001349) on 8
+    # vertices; the frozen table pins every row and column beyond those counts
+    at8 = [r for r in classification8 if r.n_vertices == 8]
+    assert len(at8) == 101
+    assert sum(r.member_count for r in at8) == 11_117
+    assert orbits.records_to_csv(classification8).encode() == CLASSIFY8.read_bytes()
+
+
 def test_table_order_does_not_rest_on_the_representative(classification7):
     # the sort key short of the representative tells every class apart, so
     # the table's order does not depend on how canonical_form labels graphs
@@ -474,7 +483,8 @@ def test_classify_computes_no_cover_of_its_own(monkeypatch):
 
 @pytest.mark.parametrize("name, varying, message", [
     ("lower_bound_max_rank", lambda g: g.edge_count, "lower bound"),
-    ("rank_index", lambda g, k: SimpleNamespace(counts=(g.edge_count,)), "ri_2"),
+    pytest.param("rank_indices", lambda g: ((g.edge_count,), None), "rank indices",
+                 id="rank_indices"),
 ])
 def test_classify_checks_invariants_are_constant_on_a_class(monkeypatch, name, varying,
                                                             message):
