@@ -32,10 +32,11 @@ bound applied below the root.  A measurement takes a graph to a
 vertex-minor: local complementation keeps every cut rank, and deleting one
 vertex lowers any cut rank by at most 1 (Oum, Rank-width and vertex-minors,
 JCTB 95, 2005).  So a node with budget b and a set of cut rank b + 1 can
-never be emptied.  A node first tries the sets that earlier siblings were
-refuted by, carried over to its labels, then, when 2 <= b < floor(n/2),
-asks the kernel; a set it finds is passed on to the later siblings.  Both
-come before the greedy cover check, which a cut rank above b would fail.
+never be emptied.  When b < floor(n/2) a node asks the kernel for such a
+set before the greedy cover check, which a cut rank above b would fail.
+This one prune also refutes a node with more than b components with edges:
+one vertex with a neighbour in each of b + 1 of them is a set of cut rank
+b + 1, and those components hold at least 2(b + 1) vertices.
 
 The search branches on one vertex of each twin set (see graphs.twin_reps):
 measuring either twin in the same basis gives isomorphic graphs; for x the
@@ -43,21 +44,25 @@ two default special neighbours may differ, but any choice gives a locally
 equivalent graph.  Persistency is invariant under both, so the pruning is
 exact.
 
-Nodes with a budget of one measurement are settled without branching.  One
-that gets that far is not a star (its greedy cover exceeds 1) and has one
-component with edges.  A graph that one measurement empties has every cut
-rank at most 1, so that component is in the GHZ class, whose connected
-local-complementation orbit holds only the stars and the complete graph.
-So the node succeeds exactly when its edged vertices form a clique, which y
-at any of them empties.
+Nodes with a budget of one measurement are settled without branching: one
+that the prune lets through succeeds.  Such a node has no set of cut rank
+2 (with n <= 3 there is none to find), so it has one component with edges
+and every cut rank of that component is at most 1.  That component is then
+in the GHZ class, whose connected local-complementation orbit holds only
+the stars and the complete graph, and z at a star's centre or y at any
+vertex of a clique empties it.
 
 The node cap bounds the search at any n: it gives up with CapExceeded once
-its memo holds more than SEARCH_NODE_CAP nodes.  The prune fills the memo
-with a subset of the entries the unpruned search makes, so it trips the cap
-only on inputs where that search would.  On a 2-vCPU Xeon, odd rings up to
-C19 and the n = 12 gap graph KVp`qtKGUrkO finish in under 0.1 s, and
+its memo holds more than SEARCH_NODE_CAP nodes, the nodes it refutes or
+branches on.  The search without the prune and the budget-1 rule branches
+on every node it reaches whose greedy cover exceeds the budget, and these
+include every node the pruned search stores, since no cover is below a cut
+rank.  Pruned subtrees are never entered, so the pruned search stores a
+subset of that search's entries and trips the cap only on inputs where that
+search would.  On a 2-vCPU Xeon, odd rings up to C19 and the n = 12 gap
+graph KVp`qtKGUrkO finish in under 0.1 s, and
 random_connected_graph(random.Random(0), 20, 0.35) still reaches the cap, in
-about 1.5 s.
+1.0-1.5 s.
 """
 
 from __future__ import annotations
@@ -69,8 +74,6 @@ from .graphs import (
     CapExceeded,
     Graph,
     as_mask,
-    bits_of,
-    connected_components,
     greedy_vertex_cover,
     is_connected,
     min_vertex_cover,
@@ -197,76 +200,29 @@ def lower_bound_max_rank(g: Graph) -> int:
     return 0
 
 
-def _components_with_edges(g: Graph) -> int:
-    return sum(1 for comp in connected_components(g)
-               if any(g.rows[v] for v in bits_of(comp)))
-
-
-def _insert_bit(mask: int, v: int) -> int:
-    """mask with a 0 inserted at bit v: from the labels after deleting v to
-    those before."""
-    low = mask & ((1 << v) - 1)
-    return (mask ^ low) << 1 | low
-
-
-def _delete_bit(mask: int, v: int) -> int:
-    """mask without bit v, which is 0: to the labels after deleting v."""
-    low = mask & ((1 << v) - 1)
-    return (mask ^ low) >> 1 | low
-
-
-def _can_disentangle(g: Graph, budget: int, memo: dict,
-                     seen: list[int] | None = None) -> bool:
-    """Can budget measurements empty g?  seen lists vertex sets, in g's
-    labels, that had cut rank budget + 1 in an earlier sibling of g; a set
-    that the kernel finds for g is appended to it."""
+def _can_disentangle(g: Graph, budget: int, memo: dict) -> bool:
+    """Can budget measurements empty g?"""
     if all(r == 0 for r in g.rows):
         return True
     if budget <= 0:
         return False
     rows = g.rows
     key = (rows, budget)
-    # The memo holds the nodes that pass the component check and whose greedy
-    # cover exceeds the budget, as it did before the cut-rank prune: a set of
-    # cut rank budget + 1 implies that cover, since no cover is below a cut
-    # rank.  Pruned subtrees are never entered, so the entries are a subset
-    # of the unpruned search's, and the cap trips only where that one would.
+    # The memo holds the nodes that the search refutes or branches on; a
+    # node that a greedy cover or one measurement settles is not stored.
     hit = memo.get(key)
     if hit is not None:
         return hit
-    if _components_with_edges(g) > budget:
-        return False
-    if seen is None:
-        seen = []
-    if any(_cross_rank(g, a) > budget for a in seen):
+    if budget < g.n // 2 and _full_rank_split(rows, g.n, budget + 1):
         result = False
-    elif 2 <= budget < g.n // 2 and (witness := _full_rank_split(rows, g.n, budget + 1)):
-        seen.append(witness)
-        result = False
-    elif greedy_vertex_cover(g).bit_count() <= budget:
+    elif budget == 1 or greedy_vertex_cover(g).bit_count() <= budget:
         return True
-    elif budget == 1:
-        # one edged component that is not a star: only a clique is one
-        # measurement (y at any of its vertices) from empty
-        edged = 0
-        for r in rows:
-            edged |= r
-        result = all(r == 0 or r | 1 << v == edged for v, r in enumerate(rows))
     else:
-        result = False
         twins = twin_reps(rows)
-        witnesses: list[int] = []  # the children's, in g's labels
-        for v in range(g.n):
-            # a twin of a lesser vertex gives isomorphic children
-            if rows[v] == 0 or twins[v] != v:
-                continue
-            child_seen = [_delete_bit(a, v) for a in witnesses if not a >> v & 1]
-            carried = len(child_seen)
-            if any(_can_disentangle(measure_via_lc(g, v, basis), budget - 1, memo, child_seen)
-                   for basis in ("z", "y", "x")):
-                result = True
-                break
-            witnesses += [_insert_bit(a, v) for a in child_seen[carried:]]
+        # a twin of a lesser vertex gives isomorphic children
+        result = any(_can_disentangle(measure_via_lc(g, v, basis), budget - 1, memo)
+                     for v in range(g.n) if rows[v] and twins[v] == v
+                     for basis in ("z", "y", "x"))
     memo[key] = result
     if len(memo) > SEARCH_NODE_CAP:
         raise CapExceeded(
@@ -296,11 +252,11 @@ def pauli_persistency(g: Graph, depth_limit: int | None = None) -> int:
 
     When the lower bound already meets the minimum vertex cover size no search
     is needed.  Otherwise the search deepens from the lower bound.  It
-    refutes a node with budget b that has a set of cut rank b + 1, trying the
-    sets that refuted earlier siblings before the kernel; it settles nodes
-    with one measurement left in closed form (one succeeds exactly when its
-    edges form a star or a clique).  It raises CapExceeded after
-    SEARCH_NODE_CAP memo entries, at any n.
+    refutes a node with budget b that has a set of cut rank b + 1, found by
+    the kernel; a node with one measurement left that this lets through
+    succeeds (its edges form a star or a clique).  It raises CapExceeded
+    once its memo, the nodes it refutes or branches on, holds more than
+    SEARCH_NODE_CAP of them, at any n.
     """
     return _bounds_parts(g, depth_limit)[1]
 

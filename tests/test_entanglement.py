@@ -270,8 +270,9 @@ def test_one_measurement_lowers_each_cut_rank_by_at_most_one(g):
                 if h.n == g.n:
                     a_h = a_mask
                 else:
-                    a_h = entanglement._delete_bit(a_mask, v)
-                    assert entanglement._insert_bit(a_h, v) == a_mask
+                    # deleting v moves every later vertex down one label
+                    a_h = _mask(u - (u > v) for u in bits_of(a_mask))
+                    assert _mask(u + (u >= v) for u in bits_of(a_h)) == a_mask
                 assert entanglement._cross_rank(h, a_h) in (rank, rank - 1)
 
 
@@ -347,32 +348,6 @@ def test_persistency_of_a_gap_graph_at_twelve_vertices():
     assert pauli_persistency(g) == 7
 
 
-def test_search_carries_refuting_sets_to_later_siblings(monkeypatch):
-    # a set of cut rank above a child's budget is tried on that child's later
-    # siblings before the kernel runs for them; here it refutes more nodes
-    # than the kernel does (without it, the kernel runs over twice as often)
-    kernel_calls = 0
-    carried = 0
-    real_kernel = entanglement._full_rank_split
-    real_rank = entanglement._cross_rank
-
-    def counting_kernel(rows, n, k):
-        nonlocal kernel_calls
-        kernel_calls += 1
-        return real_kernel(rows, n, k)
-
-    def counting_rank(g, a_mask):
-        nonlocal carried
-        rank = real_rank(g, a_mask)
-        carried += rank == a_mask.bit_count()
-        return rank
-
-    monkeypatch.setattr(entanglement, "_full_rank_split", counting_kernel)
-    monkeypatch.setattr(entanglement, "_cross_rank", counting_rank)
-    assert pauli_persistency(parse_graph6("KVp`qtKGUrkO")) == 7
-    assert 0 < kernel_calls < carried
-
-
 def test_persistency_node_cap():
     g = random_connected_graph(random.Random(0), 20, 0.35)
     assert (lower_bound_max_rank(g), min_vertex_cover(g).bit_count()) == (10, 12)
@@ -424,13 +399,40 @@ def _reference_persistency(g):
     return next((d for d in range(cover) if _reference_can_disentangle(g, d, memo)), cover)
 
 
-def test_pruned_search_matches_reference_on_small_connected_graphs(connected_classes):
+def test_pruned_search_matches_reference_on_small_graphs(connected_classes):
+    # the disjoint unions hold nodes with more edged components than their
+    # budget b >= 2, which the search refutes by cut rank and the reference
+    # by counting
     rng = random.Random(31)
-    for n in range(2, 7):
+    graphs = [g for n in range(2, 7) for g in connected_classes[n] for _ in range(2)]
+    small = [g for n in range(2, 5) for g in connected_classes[n]]
+    tiny = [g for n in range(2, 4) for g in connected_classes[n]]
+    searched = [g for g in connected_classes[5]
+                if lower_bound_max_rank(g) < min_vertex_cover(g).bit_count()]
+    graphs += [_disjoint_union(g, h) for g, h in itertools.combinations_with_replacement(small, 2)]
+    graphs += [_disjoint_union(_disjoint_union(g, h), k)
+               for g, h, k in itertools.combinations_with_replacement(tiny, 3)]
+    graphs += [_disjoint_union(g, h) for g in searched for h in tiny]
+    for g in graphs:
+        h = relabel(g, rng.sample(range(g.n), g.n))
+        assert pauli_persistency(h) == _reference_persistency(h), h.rows
+
+
+def _is_star_or_complete(g):
+    degrees = sorted(r.bit_count() for r in g.rows)
+    return degrees in ([1] * (g.n - 1) + [g.n - 1], [g.n - 1] * g.n)
+
+
+def test_connected_graphs_with_every_cut_rank_at_most_one_are_stars_or_complete(connected_classes):
+    # the lemma behind the budget-1 rule: such a graph is in the GHZ class,
+    # and y at any vertex of a clique or z at a star's centre empties it
+    found = 0
+    for n in range(2, 8):
         for g in connected_classes[n]:
-            for _ in range(2):
-                h = relabel(g, rng.sample(range(n), n))
-                assert pauli_persistency(h) == _reference_persistency(h)
+            ghz = _is_star_or_complete(g)
+            assert (lower_bound_max_rank(g) <= 1) == ghz, g.rows
+            found += ghz
+    assert found == 1 + 2 * 5  # K2, then a star and K_n for n = 3..7
 
 
 def _twins(rows, u, v):
