@@ -17,6 +17,16 @@ more), and the rest.  The monomial sites act together as one index xor and
 one phase i^k per amplitude; each other site is a 2x2 product on its axis.
 The monomial table is read off CLIFFORD_MATRICES at import.
 
+contract_qubit measures one qubit by contraction.  The projector onto the
+eigenvector |b> of a Pauli basis at qubit a factors as
+
+    P_b psi = |b> (x) <b|_a psi,
+
+so post-selecting on |b> leaves |b> at a times phi = <b|_a psi, a state of
+the other n - 1 qubits, and the outcome's probability is |phi|^2.  So a
+measurement rule is checked on phi alone, against the rewritten graph's
+state on those n - 1 qubits.
+
 This module owns every matrix of the package and is its one numpy user;
 the rest of graphstates runs on integer tables and loads it only for
 verify.  CLIFFORD_MATRICES[i] is the product of the H/S word
@@ -106,19 +116,12 @@ def _clifford_matrices() -> np.ndarray:
 CLIFFORD_MATRICES = _clifford_matrices()
 
 
-_BASIS_VECTORS = {
-    ("x", +1): np.array([1, 1], dtype=complex) / np.sqrt(2),
-    ("x", -1): np.array([1, -1], dtype=complex) / np.sqrt(2),
-    ("y", +1): np.array([1, 1j], dtype=complex) / np.sqrt(2),
-    ("y", -1): np.array([1, -1j], dtype=complex) / np.sqrt(2),
-    ("z", +1): np.array([1, 0], dtype=complex),
-    ("z", -1): np.array([0, 1], dtype=complex),
-}
-
-
-_PROJECTORS = {
-    (basis, sign): (np.eye(2, dtype=complex) + sign * PAULI_MATRICES[axis]) / 2
-    for axis, basis in enumerate("xyz") for sign in (1, -1)
+_R = 1.0 / np.sqrt(2.0)
+# <b|: the conjugated eigenvector of each (basis, sign), entries for bits 0, 1
+_BRAS = {
+    ("x", 1): (_R, _R), ("x", -1): (_R, -_R),
+    ("y", 1): (_R, -1j * _R), ("y", -1): (_R, 1j * _R),
+    ("z", 1): (1.0, 0.0), ("z", -1): (0.0, 1.0),
 }
 
 _PARITY_SIGN = np.array([1.0, -1.0])
@@ -155,10 +158,6 @@ def _monomial_cliffords() -> dict[int, tuple[int, int, int]]:
 
 
 _MONOMIAL = _monomial_cliffords()
-
-
-def basis_eigenvector(basis: str, sign: int) -> np.ndarray:
-    return _BASIS_VECTORS[(basis, sign)].copy()
 
 
 def _n_qubits(state: np.ndarray) -> int:
@@ -208,19 +207,18 @@ def apply_single_site(state: np.ndarray, site: int, m: np.ndarray) -> np.ndarray
     return out.reshape(-1)
 
 
-def apply_projector(state: np.ndarray, site: int, basis: str, sign: int
-                    ) -> tuple[float, np.ndarray | None]:
-    """(probability, normalized post-measurement state); state is None on the
-    zero-probability branch."""
-    if basis not in ("x", "y", "z"):
-        raise ValueError(f"bad basis {basis!r}")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    out = apply_single_site(state, site, _PROJECTORS[basis, sign])
-    prob = float(np.vdot(out, out).real)
-    if prob < 1e-12:
-        return 0.0, None
-    return prob, out / np.sqrt(prob)
+def contract_qubit(state: np.ndarray, site: int, basis: str, sign: int
+                   ) -> tuple[np.ndarray, float]:
+    """(phi, |phi|^2) with phi = <b|_site state, the (n-1)-qubit state left
+    beside |b> when the outcome sign of the Pauli basis is post-selected at
+    site; |phi|^2 is that outcome's probability.  phi is not normalized."""
+    n = _n_qubits(state)
+    if not 0 <= site < n:
+        raise IndexError(site)
+    b0, b1 = _BRAS[basis, sign]
+    t = state.reshape(1 << site, 2, 1 << (n - 1 - site))
+    phi = (b0 * t[:, 0, :] + b1 * t[:, 1, :]).reshape(-1)
+    return phi, float(np.vdot(phi, phi).real)
 
 
 def apply_local_clifford(state: np.ndarray, u: LocalClifford) -> np.ndarray:
@@ -261,20 +259,13 @@ def apply_local_clifford(state: np.ndarray, u: LocalClifford) -> np.ndarray:
 
 
 def equal_up_to_global_phase(s: np.ndarray, t: np.ndarray) -> bool:
+    if len(s) != len(t):
+        raise ValueError("size mismatch")
     ns = np.sqrt(np.vdot(s, s).real)
     nt = np.sqrt(np.vdot(t, t).real)
     if ns < 1e-12 or nt < 1e-12:
         return False
     return abs(np.vdot(s, t)) / (ns * nt) >= 1.0 - PHASE_TOL
-
-
-def insert_qubit(state: np.ndarray, site: int, vec2: np.ndarray) -> np.ndarray:
-    """Tensor a single-qubit state in at the given position."""
-    n = _n_qubits(state) + 1
-    if not 0 <= site < n:
-        raise IndexError(site)
-    t = state.reshape(1 << site, 1, 1 << (n - 1 - site))
-    return (t * np.asarray(vec2, dtype=complex).reshape(1, 2, 1)).reshape(-1)
 
 
 def reduced_density(state: np.ndarray, traced) -> np.ndarray:

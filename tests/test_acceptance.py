@@ -37,6 +37,7 @@ from graphstates.graphs import (
     two_coloring,
 )
 from graphstates.stabilizer import local_complement_clifford
+from test_oracle import BASIS_KETS, insert_qubit, project
 from test_stabilizer import exact_support_count
 
 PROB_TOL = 1e-12
@@ -157,18 +158,17 @@ def test_criterion_02_measurement_projection_rule(sample_graphs):
                 ref_minus = oracle.apply_local_clifford(
                     oracle.graph_state(out.graph_after), out.byproduct_minus)
                 for sign, ref in ((1, ref_plus), (-1, ref_minus)):
-                    prob, post = oracle.apply_projector(state, a, basis, sign)
+                    prob, post = project(state, a, basis, sign)
                     expected_p = float(out.prob_plus if sign > 0
                                        else 1 - out.prob_plus)
                     assert abs(prob - expected_p) <= PROB_TOL
                     if post is None:
                         continue
-                    full = oracle.insert_qubit(
-                        ref, a, oracle.basis_eigenvector(basis, sign))
+                    full = insert_qubit(ref, a, BASIS_KETS[basis, sign])
                     assert oracle.equal_up_to_global_phase(post, full)
     # deterministic branch: x at an isolated vertex
     g = from_edges(3, [(1, 2)])
-    prob, post = oracle.apply_projector(oracle.graph_state(g), 0, "x", 1)
+    prob, post = project(oracle.graph_state(g), 0, "x", 1)
     assert abs(prob - 1.0) <= PROB_TOL
     out = measurement.measure_pauli(g, 0, "x")
     assert out.prob_plus == 1 and out.graph_after.rows == g.rows

@@ -318,18 +318,14 @@ def test_verify_builds_and_diagonalizes_each_trial_state_once(capsys, monkeypatc
 def test_verify_applies_a_2x2_product_only_at_non_monomial_sites(capsys, monkeypatch):
     # Cliffords with no zero entry need a 2x2 product on their axis; the
     # others are a bit flip times a phase, applied by index arithmetic.
+    # A measurement is a contraction, which makes no 2x2 product.
     dense = {i for i, m in enumerate(oracle.CLIFFORD_MATRICES) if np.abs(m).min() > 1e-9}
-    counts = {"apply_single_site": 0, "apply_projector": 0, "dense": 0, "monomial": 0}
-    single, projector, local = (oracle.apply_single_site, oracle.apply_projector,
-                                oracle.apply_local_clifford)
+    counts = {"apply_single_site": 0, "dense": 0, "monomial": 0}
+    single, local = oracle.apply_single_site, oracle.apply_local_clifford
 
     def counting_single(*args):
         counts["apply_single_site"] += 1
         return single(*args)
-
-    def counting_projector(*args):
-        counts["apply_projector"] += 1
-        return projector(*args)
 
     def counting_local(state, u):
         counts["dense"] += sum(c in dense for c in u.indices)
@@ -337,12 +333,25 @@ def test_verify_applies_a_2x2_product_only_at_non_monomial_sites(capsys, monkeyp
         return local(state, u)
 
     monkeypatch.setattr(oracle, "apply_single_site", counting_single)
-    monkeypatch.setattr(oracle, "apply_projector", counting_projector)
     monkeypatch.setattr(oracle, "apply_local_clifford", counting_local)
     assert main(["verify", "--seed", "5", "--max-vertices", "7", "--trials", "4"]) == 0
     assert counts["dense"] > 0 and counts["monomial"] > 0
-    # one product per projector and per dense site, none per monomial site
-    assert counts["apply_single_site"] == counts["apply_projector"] + counts["dense"]
+    assert counts["apply_single_site"] == counts["dense"]
+
+
+def test_verify_contracts_each_basis_and_sign_once_per_trial(capsys, monkeypatch):
+    calls = []
+    original = oracle.contract_qubit
+
+    def recording(state, site, basis, sign):
+        calls.append((basis, sign))
+        return original(state, site, basis, sign)
+
+    monkeypatch.setattr(oracle, "contract_qubit", recording)
+    assert main(["verify", "--seed", "5", "--max-vertices", "7",
+                 "--trials", "4"]) == 0
+    # 3 bases x 2 signs a trial
+    assert calls == [(b, s) for b in "xyz" for s in (1, -1)] * 4
 
 
 def _verify_with_mutated_byproducts(monkeypatch, mutate):

@@ -36,6 +36,7 @@ from graphstates.graphs import (
     min_vertex_cover,
     parse_graph6,
     path_graph,
+    petersen_graph,
     random_connected_graph,
     random_tree,
     relabel,
@@ -286,10 +287,38 @@ def test_rank_indices_match_the_reference_and_survive_lc_and_relabelling(g, data
     assert rank_indices(relabel(g, perm)) == want
 
 
+@given(_small_graphs())
+def test_cut_rank_is_symmetric_and_unchanged_by_local_complementation(g):
+    full = g.vertex_mask()
+    images = [local_complement(g, v) for v in range(g.n)]
+    for a_mask in range(1, full):
+        r = entanglement._cross_rank(g, a_mask)
+        assert entanglement._cross_rank(g, full ^ a_mask) == r
+        assert all(entanglement._cross_rank(h, a_mask) == r for h in images)
+
+
 def test_lower_bound_scan_cap():
     with pytest.raises(CapExceeded):
         lower_bound_max_rank(path_graph(SCAN_CAP + 1))
     assert lower_bound_max_rank(cycle_graph(SCAN_CAP)) == SCAN_CAP // 2
+
+
+@pytest.mark.parametrize("cap, call", [
+    (oracle.STATE_CAP, oracle.graph_state),
+    (oracle.TRACE_FORM_CAP, lambda g: oracle.verify_partial_trace_form(g, 1)),
+    (SCAN_CAP, lower_bound_max_rank),
+], ids=["STATE_CAP", "TRACE_FORM_CAP", "SCAN_CAP"])
+def test_caps_fail_fast_on_symmetric_graphs(cap, call):
+    # symmetric inputs are where an exponential path would show: the cap
+    # must be checked before any work
+    for g in (complete_graph(cap + 1), empty_graph(cap + 1)):
+        with pytest.raises(CapExceeded):
+            call(g)
+    accepted = [complete_graph(cap), empty_graph(cap)]
+    if cap >= 10:
+        accepted.append(petersen_graph())
+    for g in accepted:
+        call(g)  # no CapExceeded
 
 
 # One member of each class up to n = 8 whose persistency a search without

@@ -29,6 +29,7 @@ from graphstates.measurement import (
 )
 from graphstates.orbits import lc_equivalent
 from graphstates.stabilizer import identity_clifford
+from test_oracle import BASIS_KETS, insert_qubit, project
 
 
 def test_z_at_path_middle():
@@ -53,10 +54,10 @@ def test_x_at_path_leaf_gives_empty_graph():
     assert out.chosen_b0 == 1
     assert out.graph_after.rows == (0, 0)
     state = oracle.graph_state(path_graph(3))
-    prob, post = oracle.apply_projector(state, 0, "x", 1)
+    prob, post = project(state, 0, "x", 1)
     ref = oracle.graph_state(out.graph_after)
     ref = oracle.apply_local_clifford(ref, out.byproduct_plus)
-    ref = oracle.insert_qubit(ref, 0, oracle.basis_eigenvector("x", 1))
+    ref = insert_qubit(ref, 0, BASIS_KETS["x", 1])
     assert oracle.equal_up_to_global_phase(post, ref)
 
 
@@ -214,7 +215,7 @@ def test_sequence_matches_dense_projections():
         state = oracle.graph_state(g)
         prob = 1.0
         for v, basis, sign in steps:
-            step_p, state = oracle.apply_projector(state, v, basis, sign)
+            step_p, state = project(state, v, basis, sign)
             prob *= step_p
         assert abs(prob - float(p)) < 1e-12
         ref = oracle.graph_state(final)

@@ -1,4 +1,8 @@
-"""Dense state-vector reference: construction, projectors, reductions."""
+"""Dense state-vector reference: construction, contraction, reductions.
+
+Also the tests' own full-projection reference (project, insert_qubit,
+BASIS_KETS), built from np.kron and imported by the measurement and
+acceptance tests."""
 
 import random
 import warnings
@@ -95,13 +99,12 @@ def test_state_independent_of_edge_order():
 
 def test_projector_probabilities():
     plus = oracle.graph_state(empty_graph(1))
-    prob, _ = oracle.apply_projector(plus, 0, "z", 1)
+    _, prob = oracle.contract_qubit(plus, 0, "z", 1)
     assert abs(prob - 0.5) < 1e-12
-    prob, post = oracle.apply_projector(plus, 0, "x", 1)
-    assert abs(prob - 1.0) < 1e-12
-    assert np.allclose(post, plus)
-    prob, post = oracle.apply_projector(plus, 0, "x", -1)
-    assert prob == 0.0 and post is None
+    phi, prob = oracle.contract_qubit(plus, 0, "x", 1)
+    assert abs(prob - 1.0) < 1e-12 and phi.shape == (1,)
+    phi, prob = oracle.contract_qubit(plus, 0, "x", -1)
+    assert prob < 1e-24 and abs(phi[0]) < 1e-12
 
 
 def test_pauli_measurements_are_fair_coins_on_connected_graphs():
@@ -111,7 +114,7 @@ def test_pauli_measurements_are_fair_coins_on_connected_graphs():
         state = oracle.graph_state(g)
         a = rng.randrange(g.n)
         for basis in ("x", "y", "z"):
-            prob, _ = oracle.apply_projector(state, a, basis, 1)
+            _, prob = oracle.contract_qubit(state, a, basis, 1)
             assert abs(prob - 0.5) < 1e-12
 
 
@@ -119,6 +122,15 @@ def test_phase_equality():
     s = oracle.graph_state(path_graph(3))
     assert oracle.equal_up_to_global_phase(s, np.exp(0.7j) * s)
     assert not oracle.equal_up_to_global_phase(s, oracle.graph_state(cycle_graph(3)))
+
+
+def test_phase_equality_rejects_states_of_different_sizes():
+    # numpy would fail on the reshape with a message that hides the slip
+    s = oracle.graph_state(path_graph(3))
+    with pytest.raises(ValueError, match="size mismatch"):
+        oracle.equal_up_to_global_phase(s, oracle.graph_state(path_graph(2)))
+    with pytest.raises(ValueError, match="size mismatch"):
+        oracle.equal_up_to_global_phase(oracle.graph_state(path_graph(2)), s)
 
 
 def test_identity_clifford_is_noop():
@@ -254,11 +266,15 @@ def _cz_reference(g):
     return vec
 
 
+def _labelled_graphs(n):
+    pairs = list(combinations(range(n), 2))
+    return [from_edges(n, [p for i, p in enumerate(pairs) if (bits >> i) & 1])
+            for bits in range(1 << len(pairs))]
+
+
 def test_graph_state_equals_cz_reference_on_all_labelled_graphs_up_to_5():
     for n in range(6):
-        pairs = list(combinations(range(n), 2))
-        for bits in range(1 << len(pairs)):
-            g = from_edges(n, [p for i, p in enumerate(pairs) if (bits >> i) & 1])
+        for g in _labelled_graphs(n):
             assert np.array_equal(oracle.graph_state(g), _cz_reference(g)), g.edges()
 
 
@@ -272,13 +288,48 @@ def test_graph_state_equals_cz_reference_on_empty_and_random_graphs():
         assert np.array_equal(oracle.graph_state(g), _cz_reference(g)), to_graph6(g)
 
 
-# (I + sign * P) / 2 for the Pauli P of each basis.
+# (I + sign * P) / 2 for the Pauli P of each basis, and the eigenvector |b>
+# of P with eigenvalue sign that it projects onto.
 _PROJECTORS = {(basis, sign): (np.eye(2) + sign * PAULI_MATRICES[axis]) / 2
                for axis, basis in zip(PAULI_MATRICES, "xyz") for sign in (1, -1)}
+BASIS_KETS = {
+    ("x", 1): np.array([1, 1]) / np.sqrt(2), ("x", -1): np.array([1, -1]) / np.sqrt(2),
+    ("y", 1): np.array([1, 1j]) / np.sqrt(2), ("y", -1): np.array([1, -1j]) / np.sqrt(2),
+    ("z", 1): np.array([1, 0]), ("z", -1): np.array([0, 1]),
+}
 
 
 def _kron_at(n, site, m):
     return np.kron(np.kron(np.eye(1 << site), m), np.eye(1 << (n - 1 - site)))
+
+
+def _kron_apply(state, site, m):
+    """(I_L (x) m (x) I_R) state with L = 2^site, R = 2^(n-1-site), as one
+    np.kron factor on the smaller of the two sides, so no factor is larger
+    than 2^(n//2 + 1) square."""
+    n = len(state).bit_length() - 1
+    left, right = 1 << site, 1 << (n - 1 - site)
+    if left <= right:
+        return (np.kron(np.eye(left), m) @ state.reshape(2 * left, right)).reshape(-1)
+    return (state.reshape(left, 2 * right) @ np.kron(m, np.eye(right)).T).reshape(-1)
+
+
+def project(state, site, basis, sign):
+    """(probability, normalized post-measurement state); the state is None on
+    the zero-probability branch.  The full n-qubit projection, as the
+    reference for oracle.contract_qubit."""
+    out = _kron_apply(state, site, _PROJECTORS[basis, sign])
+    prob = float(np.vdot(out, out).real)
+    if prob < 1e-12:
+        return 0.0, None
+    return prob, out / np.sqrt(prob)
+
+
+def insert_qubit(state, site, ket):
+    """Tensor the single-qubit state ket in at position site."""
+    n = len(state).bit_length()
+    return np.kron(state.reshape(1 << site, 1 << (n - 1 - site)),
+                   np.asarray(ket).reshape(2, 1)).reshape(-1)
 
 
 def test_apply_single_site_matches_kron_product():
@@ -324,13 +375,37 @@ def test_monomial_table_holds_the_four_diagonal_and_four_antidiagonal_cliffords(
         assert np.abs(CLIFFORD_MATRICES[c]).min() > 0.7, c
 
 
-def test_apply_projector_uses_the_basis_projector():
-    state = oracle.graph_state(path_graph(4))
-    for (basis, sign), proj in _PROJECTORS.items():
-        out = oracle.apply_single_site(state, 2, proj)
-        prob, post = oracle.apply_projector(state, 2, basis, sign)
-        assert abs(prob - np.vdot(out, out).real) < 1e-12
-        assert np.allclose(post, out / np.sqrt(prob))
+def test_kron_apply_matches_the_full_kron_product():
+    rng = np.random.default_rng(39)
+    for n in range(1, 7):
+        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        for m in _PROJECTORS.values():
+            for site in range(n):
+                assert np.allclose(_kron_apply(state, site, m), _kron_at(n, site, m) @ state)
+
+
+def test_contraction_times_the_ket_is_the_projected_state():
+    # P_b psi = |b> (x) <b|_a psi, and |<b|_a psi|^2 is the outcome's probability
+    rng = random.Random(40)
+    graphs = [g for n in range(1, 5) for g in _labelled_graphs(n)]
+    graphs += [random_connected_graph(rng, n) for n in range(5, oracle.STATE_CAP + 1)
+               for _ in range(2)]
+    for g in graphs:
+        state = oracle.graph_state(g)
+        for (basis, sign), proj in _PROJECTORS.items():
+            for site in range(g.n):
+                phi, prob = oracle.contract_qubit(state, site, basis, sign)
+                assert len(phi) == len(state) // 2
+                projected = _kron_apply(state, site, proj)
+                assert np.allclose(insert_qubit(phi, site, BASIS_KETS[basis, sign]),
+                                   projected, rtol=0, atol=1e-12), (to_graph6(g), basis, sign)
+                assert abs(prob - np.vdot(projected, projected).real) < 1e-12
+
+
+@pytest.mark.parametrize("site", [-1, 3, 4])
+def test_contraction_site_outside_the_state_is_an_index_error(site):
+    with pytest.raises(IndexError):
+        oracle.contract_qubit(oracle.graph_state(path_graph(3)), site, "x", 1)
 
 
 @pytest.mark.parametrize("length", [0, 3, 6])
