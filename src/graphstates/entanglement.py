@@ -103,7 +103,7 @@ def _cross_rank(g: Graph, a_mask: int) -> int:
         low = a_mask & -a_mask
         cross.append(rows[low.bit_length() - 1] & b_mask)
         a_mask ^= low
-    return gf2_rank_of_rows(cross, g.n)
+    return gf2_rank_of_rows(cross)
 
 
 def schmidt_rank(g: Graph, subset) -> int:

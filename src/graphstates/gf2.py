@@ -1,8 +1,14 @@
-"""Dense linear algebra over GF(2), with rows packed into Python ints.
+"""Dense linear algebra over GF(2), with vectors packed into Python ints.
 
-Bit j of a row int is column j.  Python's arbitrary-precision ints give
-word-parallel XOR for free, so elimination works a machine word at a time
-without an explicit packing layer.
+Bit j of a row int is column j, and of a column int row j.  Python's
+arbitrary-precision ints give word-parallel XOR for free, so elimination
+works a machine word at a time without an explicit packing layer.
+
+There is one elimination, the XOR-basis insert _insert.  The rank inserts
+rows; the kernel inserts columns, each tagged with its index, so a column
+that the others cancel leaves the tag of a kernel vector.  Cut ranks, the
+rank-index walk and the local-Clifford system of orbits (written one column
+per unknown, one component at a time) all go through it.
 """
 
 from __future__ import annotations
@@ -23,44 +29,24 @@ def _insert(basis: list[int], x: int) -> int:
     return 0
 
 
-def gf2_rank_of_rows(rows, n_cols: int) -> int:
-    """Rank of raw int rows over GF(2); every row must lie below 2**n_cols."""
-    basis = [0] * (n_cols + 1)
+def gf2_rank_of_rows(rows) -> int:
+    """Rank over GF(2) of a sequence of raw int rows."""
+    basis = [0] * (max(rows, default=0).bit_length() + 1)
     return sum(1 for r in rows if _insert(basis, r))
 
 
-def gf2_kernel_basis(rows, n_cols: int) -> list[int]:
-    """Basis of the right null space of int rows: for every returned v, each
-    row r has even parity of r & v.
+def gf2_kernel_basis(columns) -> list[int]:
+    """Basis of the null space of the matrix with the given int columns:
+    bit i of a returned v selects column i, and the selected columns xor to
+    zero.
 
-    The basis has n_cols - gf2_rank_of_rows(rows, n_cols) elements, one per
-    free column of the reduced row echelon form.  Does not mutate its input.
+    Column i goes in as column << k | 1 << i, for k columns.  One that the
+    columns before it cancel is left with its tag bits alone, in a slot at
+    most k, so the kernel is the nonzero slots 1..k.  There are k minus the
+    rank of them.  Does not mutate its input.
     """
-    work = list(rows)
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        for r in range(len(work)):
-            if r != rank and ((work[r] >> col) & 1):
-                work[r] ^= work[rank]
-        pivot_cols.append(col)
-        rank += 1
-    basis = []
-    pivot_set = set(pivot_cols)
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for r, pcol in enumerate(pivot_cols):
-            if (work[r] >> free) & 1:
-                v |= 1 << pcol
-        basis.append(v)
-    return basis
+    k = len(columns)
+    basis = [0] * (max(columns, default=0).bit_length() + k + 1)
+    for i, c in enumerate(columns):
+        _insert(basis, c << k | 1 << i)
+    return [v for v in basis[1:k + 1] if v]

@@ -9,11 +9,13 @@ with a mask built once per neighbourhood N(a) (see _orbit_rows).  Whether
 two labeled graphs share an orbit (equivalently, whether their graph states
 are local-Clifford equivalent) is decided without the orbit, by a linear
 system over GF(2) for the binary part of a local Clifford (Van den Nest,
-Dehaene & De Moor, PRA 70, 034302, 2004).  Its kernel is searched with
-Bouchet's lemma (Combinatorica 11, 1991): for connected graphs with a kernel
-of dimension above 4, an invertible solution exists only if a basis vector
-or a sum of two basis vectors is one.  LC never moves a vertex to another component, so
-disconnected graphs are compared component by component.  The test returns a
+Dehaene & De Moor, PRA 70, 034302, 2004).  LC never moves a vertex to
+another component, so the system is written per component of both graphs,
+one column per unknown read straight from the rows (see _lc_system), and
+its kernel comes from the one XOR-basis insert of gf2.  The kernel is
+searched with Bouchet's lemma (Combinatorica 11, 1991): for connected graphs
+with a kernel of dimension above 4, an invertible solution exists only if a
+basis vector or a sum of two basis vectors is one.  The test returns a
 LocalClifford witness, checked against the stabilizer groups of both graphs.
 
 The classifier lists the classes of connected graphs under local
@@ -49,7 +51,6 @@ from .graphs import (
     bits_of,
     canonical_form,
     connected_components,
-    induced_subgraph,
     local_complement,
     parse_graph6,
     to_graph6,
@@ -149,32 +150,29 @@ def lc_closure_with_relabelings(g: Graph, limit: int = ORBIT_LIMIT_DEFAULT) -> l
     return _graphs_of(sorted(_orbit_rows(g, limit, relabel=True)), g.n)
 
 
-def _lc_system(g: Graph, h: Graph) -> set[int]:
-    """Nonzero rows of  G_h A + G_h B G_g + C + D G_g = 0  over GF(2).
+def _lc_system(g: Graph, h: Graph, mask: int) -> list[int]:
+    """The columns of  G_h A + G_h B G_g + C + D G_g = 0  over GF(2) on the
+    vertices of mask, a connected component of both graphs.
 
-    A, B, C, D are diagonal; unknown a_i is bit i, b_i bit n + i, c_i bit
-    2n + i and d_i bit 3n + i.  Entry (j, k) reads
+    A, B, C, D are diagonal, with one column per unknown: a_k, b_k, c_k and
+    d_k for every vertex k of mask in ascending order, in that order.  Bit
+    j*n + k of a column is its coefficient in entry (j, k), which reads
     h_jk a_k + sum_i h_ji g_ik b_i + [j = k] c_j + g_jk d_j.
     """
     n = g.n
-    rows = set()
-    for j in range(n):
-        hj, gj = h.rows[j], g.rows[j]
-        for k in range(n):
-            r = (hj & (1 << k)) | ((hj & g.rows[k]) << n) | (((gj >> k) & 1) << (3 * n + j))
-            if j == k:
-                r |= 1 << (2 * n + j)
-            if r:
-                rows.add(r)
-    return rows
+    vs = list(bits_of(mask))
+    return ([sum(1 << (j * n + k) for j in bits_of(h.rows[k])) for k in vs]
+            + [sum(g.rows[i] << j * n for j in bits_of(h.rows[i])) for i in vs]
+            + [1 << (j * n + j) for j in vs]
+            + [g.rows[j] << j * n for j in vs])
 
 
-def _invertible_solution(g: Graph, h: Graph) -> int | None:
+def _invertible_solution(g: Graph, h: Graph, mask: int) -> int | None:
     """A solution of _lc_system with a_i d_i + b_i c_i = 1 at every vertex,
-    packed as in _lc_system, or None.  Both graphs must be connected."""
-    n = g.n
-    full = g.vertex_mask()
-    basis = gf2_kernel_basis(_lc_system(g, h), 4 * n)
+    bit i of it choosing the i-th unknown of _lc_system, or None."""
+    k = mask.bit_count()
+    full = (1 << k) - 1
+    basis = gf2_kernel_basis(_lc_system(g, h, mask))
     if len(basis) <= 4:
         candidates = [0]
         for u in basis:
@@ -182,7 +180,7 @@ def _invertible_solution(g: Graph, h: Graph) -> int | None:
     else:  # Bouchet: some basis vector or sum of two is invertible, if any is
         candidates = basis + [u ^ w for u, w in combinations(basis, 2)]
     for v in candidates:
-        a, b, c, d = v & full, (v >> n) & full, (v >> 2 * n) & full, v >> 3 * n
+        a, b, c, d = v & full, (v >> k) & full, (v >> 2 * k) & full, v >> 3 * k
         if (a & d) ^ (b & c) == full:
             return v
     return None
@@ -209,7 +207,7 @@ def lc_equivalence_witness(g: Graph, h: Graph) -> LocalClifford | None:
         return None  # local complementation never moves a vertex between components
     indices = [CL_I] * n
     for mask in comps:
-        v = _invertible_solution(induced_subgraph(g, mask), induced_subgraph(h, mask))
+        v = _invertible_solution(g, h, mask)
         if v is None:
             return None
         k = mask.bit_count()
@@ -217,15 +215,16 @@ def lc_equivalence_witness(g: Graph, h: Graph) -> LocalClifford | None:
             action = tuple((v >> (s * k + i)) & 1 for s in range(4))
             indices[vertex] = CLIFFORD_BY_ACTION[action]
     u = LocalClifford(tuple(indices))
-    rows = []
+    columns = [0] * (n + 1)  # row a is x_a, then s_a in column n
     for a in range(n):
         image = clifford_conjugate_pauli(u, stabilizer_generator(g, a))
         target = stabilizer_element(h, image.x)
         flip = (image.phase - target.phase) % 4
         if image.z != target.z or flip % 2:
             raise AssertionError("the solution does not map g's stabilizer onto h's")
-        rows.append(image.x | (flip // 2) << n)
-    (t,) = gf2_kernel_basis(rows, n + 1)  # the X-parts x_a are independent
+        for i in bits_of(image.x | (flip // 2) << n):
+            columns[i] |= 1 << a
+    (t,) = gf2_kernel_basis(columns)  # the X-parts x_a are independent
     flips = embed_clifford(n, {v: CL_Z for v in bits_of(t & g.vertex_mask())})
     return clifford_compose(flips, u)
 
@@ -239,14 +238,15 @@ def lc_equivalent(g: Graph, h: Graph) -> bool:
     over GF(2) on the (X, Z) bits, and it maps the stabilizer of g onto that
     of h exactly when the diagonal A, B, C, D solve
     G_h A + G_h B G_g + C + D G_g = 0 with a_i d_i + b_i c_i = 1 at every
-    vertex (Van den Nest, Dehaene & De Moor, PRA 70, 034302, 2004).  The n^2
-    equations in 4n unknowns are solved by a GF(2) kernel basis.  When the
+    vertex (Van den Nest, Dehaene & De Moor, PRA 70, 034302, 2004).
+    Bouchet's lemma below needs connected graphs, so the two component
+    partitions are compared first and each component is solved on its own:
+    its m^2 equations in 4m unknowns are written one column per unknown and
+    solved by the one XOR-basis insert (gf2.gf2_kernel_basis).  When the
     kernel has dimension at most 4 every element is tried; otherwise, for
     connected graphs, an invertible solution exists only if a basis vector or
     the sum of two basis vectors is one (Bouchet, Combinatorica 11, 1991).
-    That lemma needs connected graphs, so the two component partitions are
-    compared first and each component is solved on its own.  The answer is
-    whether lc_equivalence_witness finds a witness.
+    The answer is whether lc_equivalence_witness finds a witness.
     """
     return lc_equivalence_witness(g, h) is not None
 

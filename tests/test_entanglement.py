@@ -18,7 +18,7 @@ from graphstates.entanglement import (
     rank_indices,
     schmidt_rank,
 )
-from graphstates.gf2 import gf2_kernel_basis, gf2_rank_of_rows
+from graphstates.gf2 import gf2_rank_of_rows
 from graphstates.graphs import (
     CapExceeded,
     Graph,
@@ -47,6 +47,7 @@ from graphstates.graphs import (
 )
 from graphstates.measurement import measure_via_lc
 from graphstates.orbits import lc_equivalent
+from test_gf2 import gauss_jordan_kernel
 
 BOUNDS_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "bounds_pool.json"
 
@@ -120,11 +121,11 @@ def test_lower_bound_examples():
 
 
 def _reference_cross_rank(g, a_mask):
-    """Cut rank by the kernel dimension of the cross block, independent of
-    gf2_rank_of_rows."""
+    """Cut rank by the kernel dimension of the cross block, found by the
+    Gauss-Jordan reference, so independent of gf2._insert."""
     b_mask = g.vertex_mask() & ~a_mask
     rows = [g.rows[v] & b_mask for v in bits_of(a_mask)]
-    return g.n - len(gf2_kernel_basis(rows, g.n))
+    return g.n - len(gauss_jordan_kernel(rows, g.n))
 
 
 def _reference_max_rank(g):
@@ -597,7 +598,7 @@ def two_colorable_bounds(g):
     coloring = two_coloring(g)
     if coloring is None:
         raise ValueError("graph has an odd cycle, not 2-colorable")
-    lower = (gf2_rank_of_rows(g.rows, g.n) + 1) // 2
+    lower = (gf2_rank_of_rows(g.rows) + 1) // 2
     return lower, min(coloring[0].bit_count(), coloring[1].bit_count())
 
 

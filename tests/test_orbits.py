@@ -11,10 +11,13 @@ from hypothesis import example, given, strategies as st
 
 from graphstates import entanglement, orbits
 from graphstates.entanglement import pauli_persistency
+from graphstates.gf2 import gf2_rank_of_rows
 from graphstates.graphs import (
     CapExceeded,
+    bits_of,
     canonical_form,
     complete_graph,
+    connected_components,
     cycle_graph,
     empty_graph,
     from_edges,
@@ -37,6 +40,7 @@ from graphstates.stabilizer import (
     stabilizer_element,
     stabilizer_generator,
 )
+from test_gf2 import xor_of_selected
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 CLASSIFY8 = Path(__file__).resolve().parent / "data" / "classify8.csv"
@@ -230,6 +234,92 @@ def test_witness_for_a_cluster_state_beyond_the_orbit_walk():
     h = _scramble(rng, g, 72)
     _assert_witness(g, h, orbits.lc_equivalence_witness(g, h))
     assert orbits.lc_equivalence_witness(g, toggle_edge(h, 0, 35)) is None
+
+
+def _lc_entry(g, h, mask, j, k):
+    """The coefficients of entry (j, k) by the formula
+    h_jk a_k + sum_i h_ji g_ik b_i + [j = k] c_j + g_jk d_j, one per unknown
+    of _lc_system: a, b, c, then d, each over the vertices of mask."""
+    def gb(x, y):
+        return (g.rows[x] >> y) & 1
+
+    def hb(x, y):
+        return (h.rows[x] >> y) & 1
+
+    vs = list(bits_of(mask))
+    return ([hb(j, k) * (u == k) for u in vs]
+            + [hb(j, i) * gb(i, k) for i in vs]
+            + [int(j == k == u) for u in vs]
+            + [gb(j, k) * (u == j) for u in vs])
+
+
+def _assert_lc_system(g, h, mask):
+    """Every bit of _lc_system(g, h, mask) is its coefficient by the formula:
+    entries with j and k in mask, and zero everywhere else."""
+    n = g.n
+    columns = orbits._lc_system(g, h, mask)
+    assert len(columns) == 4 * mask.bit_count()
+    assert all(c >> (n * n) == 0 for c in columns)
+    for j, k in itertools.product(range(n), repeat=2):
+        got = [(c >> (j * n + k)) & 1 for c in columns]
+        if (mask >> j) & (mask >> k) & 1:
+            assert got == _lc_entry(g, h, mask, j, k), (g, h, mask, j, k)
+        else:
+            assert not any(got), (g, h, mask, j, k)
+
+
+def test_lc_system_matches_its_formula_entry_by_entry():
+    for n in range(4):
+        graphs = list(_all_graphs(n))
+        for g, h in itertools.product(graphs, repeat=2):
+            for mask in set(connected_components(g)) & set(connected_components(h)):
+                _assert_lc_system(g, h, mask)
+    rng = random.Random(32)
+    for n in range(4, 8):
+        for p in (0.2, 0.35, 0.5) * 2:
+            g = from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            h = _scramble(rng, g, 2 * n)
+            comps = connected_components(g)
+            for mask in comps:
+                _assert_lc_system(g, h, mask)
+            # a pair toggled inside the largest component: the other
+            # components stay common, and that one too unless it splits
+            pairs = list(itertools.combinations(bits_of(max(comps, key=int.bit_count)), 2))
+            if pairs:
+                h = toggle_edge(h, *rng.choice(pairs))
+                for mask in set(comps) & set(connected_components(h)):
+                    _assert_lc_system(g, h, mask)
+
+
+def test_bouchet_candidates_find_a_solution_in_any_kernel_basis(monkeypatch):
+    """Stars and complete graphs (the GHZ class) have LC kernels of
+    dimension above 4, where _invertible_solution tries only basis vectors
+    and sums of two.  By Bouchet's lemma that finds an invertible solution
+    whatever basis the kernel comes in: here the kernel basis is recombined
+    by random invertible GF(2) matrices."""
+    rng = random.Random(33)
+    kernel = orbits.gf2_kernel_basis
+
+    def recombined(columns):
+        basis = kernel(columns)
+        while True:
+            matrix = [rng.getrandbits(len(basis)) for _ in basis]
+            if gf2_rank_of_rows(matrix) == len(basis):
+                break
+        return [xor_of_selected(basis, r) for r in matrix]
+
+    for make in (star_graph, complete_graph):
+        for n in range(5, 10):
+            for _ in range(3):
+                g = _scramble(rng, make(n), n)
+                h = _scramble(rng, g, 2 * n)
+                mask = g.vertex_mask()
+                assert len(kernel(orbits._lc_system(g, h, mask))) > 4
+                with monkeypatch.context() as m:
+                    m.setattr(orbits, "gf2_kernel_basis", recombined)
+                    for _ in range(10):
+                        assert orbits._invertible_solution(g, h, mask) is not None
+                    _assert_witness(g, h, orbits.lc_equivalence_witness(g, h))
 
 
 @st.composite
