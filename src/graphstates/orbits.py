@@ -30,9 +30,9 @@ that the JSON and DOT outputs print, but not the classes.  The walk
 skips the complements that cannot give a new member: at a vertex of degree
 at most 1 (the graph itself) and at any but the least vertex of a twin set
 (an isomorphic image; see graphs.twin_reps).  Each class record is built
-straight from its members: the cheap invariants (maximal Schmidt rank, rank
-indices, 2-colorability) are computed per member; the persistency search,
-whose answer is LC-invariant, runs once per class on its representative.
+straight from its members: 2-colorability, which LC does not keep, is asked
+of every member; the maximal Schmidt rank and the rank indices (cut ranks)
+and persistency are LC-invariant and computed once, on the representative.
 """
 
 from __future__ import annotations
@@ -323,45 +323,41 @@ def _lc_classes(n_max: int) -> list[list[Graph]]:
     return classes
 
 
-def _constant(members: list[Graph], invariant, name: str):
-    """The value of invariant on every member; AssertionError unless one."""
-    values = {invariant(g) for g in members}
-    if len(values) != 1:
-        raise AssertionError(f"{name} must be constant on a class")
-    return values.pop()
-
-
 def classify(n_max: int) -> list[ClassRecord]:
-    """Classify all connected graphs with 2 <= n <= n_max.
-
-    One record per class of _lc_classes: its representative is the member
-    with the least (edges, graph6), the lower bound and rank indices must
-    agree on every member, and persistency is searched on the representative
-    alone.  Records sort by (vertices, minimum edges, lower, upper, rank
-    indices, class size, members by edge count, representative).  Up to
-    n = 9 no two classes tie before the representative, so the order of the
-    table does not depend on how canonical_form labels graphs.  Up to n = 8
-    the class size already tells every tie apart; at n = 9 seven pairs of
-    classes need the edge counts of their members.
-    """
+    """Classify all connected graphs with 2 <= n <= n_max (see _records)."""
     if n_max > CLASSIFY_CAP:
         raise CapExceeded(f"classification capped at n_max<={CLASSIFY_CAP}")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
+    return _records(_lc_classes(n_max))
+
+
+def _records(classes: list[list[Graph]]) -> list[ClassRecord]:
+    """One record per class of _lc_classes, numbered in table order.
+
+    The representative is the member with the least (edges, graph6), and
+    the LC-invariant columns (lower bound, rank indices, persistency) are
+    computed on it alone.  Records sort by (vertices, minimum edges, lower,
+    upper, rank indices, class size, members by edge count, representative).
+    Up to n = 9 no two classes tie before the representative, so the order
+    of the table does not depend on how canonical_form labels graphs.  Up to
+    n = 8 the class size already tells every tie apart; at n = 9 seven pairs
+    of classes need the edge counts of their members.
+    """
     records = []
-    for members in _lc_classes(n_max):
+    for members in classes:
         rep = min(members, key=lambda g: (g.edge_count, to_graph6(g)))
         histogram = [0] * (rep.n * (rep.n - 1) // 2 + 1)
         for g in members:
             histogram[g.edge_count] += 1
-        ri_2, ri_3 = _constant(members, rank_indices, "rank indices")
+        ri_2, ri_3 = rank_indices(rep)
         records.append(ClassRecord(
             class_id=0,  # numbered after the sort
             representative=to_graph6(rep),
             member_count=len(members),
             n_vertices=rep.n,
             n_edges=rep.edge_count,
-            lower=_constant(members, lower_bound_max_rank, "lower bound"),
+            lower=lower_bound_max_rank(rep),
             upper=pauli_persistency(rep),
             ri_3=ri_3,
             ri_2=ri_2,

@@ -48,16 +48,24 @@ def connected_classes():
 
 
 @pytest.fixture(scope="session")
-def lc_classes7():
-    """The members of every class of connected graphs up to 7 vertices under
-    local complementation plus isomorphism, as listed by the class walk."""
-    return orbits._lc_classes(7)
+def lc_classes8():
+    """The members of every class of connected graphs up to 8 vertices under
+    local complementation plus isomorphism, as listed by the class walk: the
+    one walk of the session, which every class fixture reads."""
+    return orbits._lc_classes(8)
 
 
 @pytest.fixture(scope="session")
-def classification8():
+def lc_classes7(lc_classes8):
+    """The classes up to 7 vertices: the first 45 of the walk up to 8, which
+    lists the classes level by level."""
+    return lc_classes8[:45]
+
+
+@pytest.fixture(scope="session")
+def classification8(lc_classes8):
     """The class records of the full classification up to 8 vertices."""
-    return orbits.classify(8)
+    return orbits._records(lc_classes8)
 
 
 @pytest.fixture(scope="session")

@@ -540,20 +540,21 @@ def test_bounds_match_the_frozen_benchmark_pool():
             entry["lower"], entry["upper"], entry["cover"]), entry["graph6"]
 
 
-def test_persistency_is_the_least_cover_over_the_lc_class(lc_classes7, classification7):
+def test_persistency_is_the_least_cover_over_the_lc_class(lc_classes8, classification8):
     # the vertex-minor argument of the module docstring, checked without the
-    # measurement rules.  Every representative up to n = 7 has the least
+    # measurement rules.  Every representative up to n = 8 has the least
     # cover of its class, where a search that refutes too much still gives
     # the cover, so the member with the largest cover is searched as well.
-    upper_of = {r.representative: r.upper for r in classification7}
-    for cls in lc_classes7:
+    upper_of = {r.representative: r.upper for r in classification8}
+    for cls in lc_classes8:
         rep = min(cls, key=lambda g: (g.edge_count, to_graph6(g)))
         covers = [min_vertex_cover(g).bit_count() for g in cls]
         assert upper_of[to_graph6(rep)] == min(covers), to_graph6(rep)
         worst = cls[covers.index(max(covers))]
         assert pauli_persistency(worst) == min(covers), to_graph6(worst)
-    assert len(lc_classes7) == 45
-    assert sum(r.lower < r.upper for r in classification7) == 8
+    assert len(lc_classes8) == 146
+    assert sum(r.lower < r.upper for r in classification8) == 20
+    assert sum(r.lower < r.upper for r in classification8[:45]) == 8  # n <= 7
 
 
 def max_rank_criterion(g, a_mask):
