@@ -590,11 +590,22 @@ def test_classify_computes_no_cover_of_its_own(monkeypatch):
     assert calls == {"min_vertex_cover": 19, "lower_bound_max_rank": 19, "rank_indices": 19}
 
 
-def test_lower_bound_and_rank_indices_are_constant_on_every_class(lc_classes8):
-    # cut ranks are LC-invariant, so classify computes both on the
-    # representative alone; here they are computed on all 12,112 members
+@pytest.mark.parametrize("name, column", [
+    ("lower_bound_max_rank", lambda r: r.lower),
+    pytest.param("rank_indices", lambda r: (r.ri_2, r.ri_3), id="rank_indices"),
+])
+def test_classify_checks_invariants_are_constant_on_a_class(lc_classes8, classification8,
+                                                            name, column):
+    # cut ranks are LC-invariant, so classify computes the lower bound and
+    # the rank indices on the representative alone; here each is computed on
+    # all 12,112 members of the 146 classes with n <= 8 and checked against
+    # the class's record
     assert len(lc_classes8) == 146
     assert sum(len(cls) for cls in lc_classes8) == 12_112
+    invariant = getattr(entanglement, name)
+    record_of = {r.representative: r for r in classification8}
     for cls in lc_classes8:
-        assert len({entanglement.lower_bound_max_rank(g) for g in cls}) == 1, to_graph6(cls[0])
-        assert len({entanglement.rank_indices(g) for g in cls}) == 1, to_graph6(cls[0])
+        rep = min(cls, key=lambda g: (g.edge_count, to_graph6(g)))
+        expected = column(record_of[to_graph6(rep)])
+        for g in cls:
+            assert invariant(g) == expected, to_graph6(g)
