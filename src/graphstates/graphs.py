@@ -80,10 +80,12 @@ class Graph:
             raise IndexError(f"vertex {a} out of range for n={self.n}")
 
 
-# Bound once for _graph, which runs once per orbit member.  Writing the
-# instance __dict__ instead gives every Graph a dict object of its own (64
-# bytes more a Graph on CPython 3.11), and it is no faster once the graphs
-# are kept, as lc_orbit keeps them.
+# Bound once for _graph, which runs once per orbit member: the orbit decode
+# (orbits._graphs_of) maps it over the row tuples that it zips from one
+# chunk of interned row lists.  Writing the instance __dict__ instead gives
+# every Graph a dict object of its own (64 bytes more a Graph on CPython
+# 3.11), and it is no faster once the graphs are kept, as lc_orbit keeps
+# them.
 _new_object = object.__new__
 _set_field = object.__setattr__
 

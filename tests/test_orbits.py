@@ -112,6 +112,28 @@ def test_orbit_limit_raises():
         orbits.lc_closure_with_relabelings(g, limit=131)
 
 
+@pytest.mark.parametrize("walk", [orbits.lc_orbit, orbits.lc_closure_with_relabelings])
+@pytest.mark.parametrize("limit", [0, -5])
+def test_orbit_limit_below_one_is_a_value_error(walk, limit):
+    # K2 and the empty graph have one member, so a cap checked only when a
+    # member is added would let them through
+    for g in (complete_graph(2), empty_graph(3), cycle_graph(5)):
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            walk(g, limit=limit)
+
+
+def test_orbits_longer_than_a_decode_chunk_match_a_plain_walk(reference_walk):
+    # 1052, 808 and 5580 members: several chunks each and a partial last one
+    chunk = orbits._DECODE_CHUNK
+    for g in (cycle_graph(7), random_connected_graph(random.Random(3), 9, 0.4)):
+        orbit = orbits.lc_orbit(g)
+        assert len(orbit) > chunk and len(orbit) % chunk
+        assert orbit == reference_walk(g)
+    closure = orbits.lc_closure_with_relabelings(cycle_graph(6))
+    assert len(closure) > chunk and len(closure) % chunk
+    assert closure == reference_walk(cycle_graph(6), relabel_too=True)
+
+
 @st.composite
 def _small_graph(draw, min_n=0):
     n = draw(st.integers(min_n, 8))
@@ -124,6 +146,8 @@ def _small_graph(draw, min_n=0):
 @example(g=empty_graph(0))
 @example(g=empty_graph(1))
 @example(g=from_edges(8, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6), (6, 7)]))
+# twins 0 and 1 share one flip mask; the leaf 4 and the isolated 5 have mask 0
+@example(g=from_edges(6, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]))
 def test_orbit_matches_a_plain_walk_over_local_complements(reference_walk, g):
     assert orbits.lc_orbit(g) == reference_walk(g)
 
