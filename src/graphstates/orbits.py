@@ -31,11 +31,17 @@ found by individualization-refinement, so a set of them holds each
 isomorphism class once; which labelling it is fixes the representatives
 that the JSON and DOT outputs print, but not the classes.  The walk
 skips the complements that cannot give a new member: at a vertex of degree
-at most 1 (the graph itself) and at any but the least vertex of a twin set
-(an isomorphic image; see graphs.twin_reps).  Each class record is built
-straight from its members: 2-colorability, which LC does not keep, is asked
-of every member; the maximal Schmidt rank and the rank indices (cut ranks)
-and persistency are LC-invariant and computed once, on the representative.
+at most 1 (the graph itself), at any but the least vertex of a twin set
+(an isomorphic image; see graphs.twin_reps), and at the vertex that leads
+back to a member already met (local complementation is an involution, and
+canonical_form's witness names that vertex).  It also skips an extension
+whose subset holds a twin of the representative but not the twin before
+it: a twin swap maps it to a lesser subset, already tried.  Every skipped
+canonical form is one already seen, so the classes and their member order
+are those of the untrimmed walk.  Each class record is built straight from
+its members: 2-colorability, which LC does not keep, is asked of every
+member; the maximal Schmidt rank and the rank indices (cut ranks) and
+persistency are LC-invariant and computed once, on the representative.
 """
 
 from __future__ import annotations
@@ -318,13 +324,20 @@ def _lc_classes(n_max: int) -> list[list[Graph]]:
     class.  A class's first member represents it at the next level.
 
     Local complementation generates the orbit (Van den Nest, Dehaene & De
-    Moor, PRA 69, 022316, 2004), but two kinds of complement add nothing:
-    at a vertex of degree at most 1 it returns the member itself, and at a
+    Moor, PRA 69, 022316, 2004), but three kinds of complement add nothing:
+    at a vertex of degree at most 1 it returns the member itself; at a
     vertex that is not the least of its twin set (graphs.twin_reps) it gives
-    an isomorphic image of the complement at that least twin.  The walk
-    skips both, so each canonical form it computes is of a complement that
-    may be new; the classes and their order are those of the walk over all
-    n complements.
+    an isomorphic image of the complement at that least twin; and it is an
+    involution, so if image, perm = canonical_form(local_complement(g, a)),
+    complementing image at perm.index(a) gives g back.  back maps each
+    member not yet walked to a mask of such vertices, from every step that
+    met it, and its walk skips the least twin of each.  Likewise, swapping
+    two twins of rep is an automorphism, so the extensions by s and by s
+    with the twins swapped are isomorphic: s is tried only if each twin of
+    rep in it has the twin before it in it too, the least subset of its
+    swap orbit, which the loop reaches first.  Every skipped canonical form
+    is one already in seen, so the classes and their member order are
+    those of the walk over all n complements and every extension.
     """
     classes: list[list[Graph]] = []
     reps = [Graph(1, (0,))]
@@ -332,23 +345,42 @@ def _lc_classes(n_max: int) -> list[list[Graph]]:
         seen: set[Graph] = set()
         level = []
         for rep in reps:
+            # (v, u) for each vertex v of rep and the twin u before it
+            last: dict[int, int] = {}
+            follows = []
+            for v, u in enumerate(twin_reps(rep.rows)):
+                if u != v:
+                    follows.append((1 << v, 1 << last[u]))
+                last[u] = v
             for s in range(1, 1 << (n - 1)):
+                # a twin without the one before it: a twin swap of rep maps
+                # s to a lesser subset with an isomorphic extension, seen
+                if any(s & v and not s & u for v, u in follows):
+                    continue
                 start = canonical_form(_add_vertex(rep, s))[0]
                 if start in seen:
                     continue
                 seen.add(start)
                 members = [start]
+                back = {start: 0}  # unwalked member: vertices that lead back
                 for g in members:
                     twins = twin_reps(g.rows)
+                    skip = 0
+                    for v in bits_of(back.pop(g)):
+                        skip |= 1 << twins[v]
                     for a, r in enumerate(g.rows):
                         # degree <= 1 gives g back, a twin of a lesser vertex
-                        # an isomorphic image: both are in seen already
-                        if r & (r - 1) == 0 or twins[a] != a:
+                        # an isomorphic image, a vertex in skip a member met
+                        # already: all are in seen already
+                        if r & (r - 1) == 0 or twins[a] != a or skip >> a & 1:
                             continue
-                        image = canonical_form(local_complement(g, a))[0]
-                        if image not in seen:
+                        image, perm = canonical_form(local_complement(g, a))
+                        if image in back:
+                            back[image] |= 1 << perm.index(a)
+                        elif image not in seen:
                             seen.add(image)
                             members.append(image)
+                            back[image] = 1 << perm.index(a)
                 level.append(members)
         classes.extend(level)
         reps = [members[0] for members in level]
@@ -378,7 +410,8 @@ def _records(classes: list[list[Graph]]) -> list[ClassRecord]:
     """
     records = []
     for members in classes:
-        rep = min(members, key=lambda g: (g.edge_count, to_graph6(g)))
+        fewest = min(g.edge_count for g in members)
+        rep = min((g for g in members if g.edge_count == fewest), key=to_graph6)
         histogram = [0] * (rep.n * (rep.n - 1) // 2 + 1)
         for g in members:
             histogram[g.edge_count] += 1

@@ -15,6 +15,8 @@ from graphstates.entanglement import pauli_persistency
 from graphstates.gf2 import gf2_rank_of_rows
 from graphstates.graphs import (
     CapExceeded,
+    Graph,
+    _add_vertex,
     bits_of,
     canonical_form,
     complete_graph,
@@ -32,6 +34,7 @@ from graphstates.graphs import (
     star_graph,
     to_graph6,
     toggle_edge,
+    twin_reps,
     two_coloring,
 )
 from graphstates.oracle import apply_local_clifford, equal_up_to_global_phase, graph_state
@@ -135,8 +138,8 @@ def test_orbits_longer_than_a_decode_chunk_match_a_plain_walk(reference_walk):
 
 
 @st.composite
-def _small_graph(draw, min_n=0):
-    n = draw(st.integers(min_n, 8))
+def _small_graph(draw, min_n=0, max_n=8):
+    n = draw(st.integers(min_n, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return from_edges(n, [e for e, k in zip(pairs, keep) if k])
@@ -583,7 +586,58 @@ def test_walk_skips_degree_one_vertices_and_twins(monkeypatch):
 
     monkeypatch.setattr(orbits, "canonical_form", counting)
     orbits._lc_classes(6)
-    assert calls == 679  # 974 when every vertex of every member is complemented
+    # 974 when every vertex of every member is complemented and every
+    # extension is tried, 679 with degree-one and twin skips alone
+    assert calls == 431
+
+
+@given(g=_small_graph(max_n=9))
+@example(g=empty_graph(0))
+@example(g=empty_graph(5))
+@example(g=complete_graph(7))
+# twins 0 and 1, the leaf 4 and the isolated 5
+@example(g=from_edges(6, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]))
+def test_complementing_an_image_at_the_witnessed_vertex_gives_the_graph_back(g):
+    # canonical position i of an image is vertex perm[i] of the complement,
+    # so the class walk may skip perm.index(a) when it walks the image
+    form = canonical_form(g)[0]
+    for a in range(g.n):
+        image, perm = canonical_form(local_complement(g, a))
+        assert canonical_form(local_complement(image, perm.index(a)))[0] == form
+
+
+def _twin_prefix(rep, s):
+    """s with its vertices in each twin set of rep moved to the least ones."""
+    reps = twin_reps(rep.rows)
+    prefix = 0
+    for u in set(reps):
+        twins = [v for v in range(rep.n) if reps[v] == u]
+        for v in twins[:sum(s >> v & 1 for v in twins)]:
+            prefix |= 1 << v
+    return prefix
+
+
+def test_walk_extends_each_representative_by_twin_prefix_subsets_only(monkeypatch,
+                                                                      lc_classes8):
+    tried = {}
+
+    def recording(rep, s):
+        tried.setdefault(rep, []).append(s)
+        return _add_vertex(rep, s)
+
+    monkeypatch.setattr(orbits, "_add_vertex", recording)
+    orbits._lc_classes(7)
+    reps = [cls[0] for cls in lc_classes8 if cls[0].n <= 6]
+    assert list(tried) == [Graph(1, (0,))] + reps
+    for rep in reps:
+        subsets = range(1, 1 << rep.n)
+        assert tried[rep] == [s for s in subsets if _twin_prefix(rep, s) == s]
+        for s in subsets:
+            # the least subset of its twin-swap orbit, so tried first
+            prefix = _twin_prefix(rep, s)
+            assert prefix <= s
+            assert (canonical_form(_add_vertex(rep, prefix))[0]
+                    == canonical_form(_add_vertex(rep, s))[0])
 
 
 def test_class_upper_is_every_members_persistency(lc_classes7, classification7):
