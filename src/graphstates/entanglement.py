@@ -67,7 +67,7 @@ random_connected_graph(random.Random(0), 20, 0.35) still reaches the cap, in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gf2 import _insert, gf2_rank_of_rows
 from .graphs import (
@@ -87,8 +87,7 @@ SCAN_CAP = 20  # vertices before the bipartition scan gives up
 SEARCH_NODE_CAP = 20_000  # memo entries before the persistency search gives up
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     lower: int
     upper: int
     cover_size: int

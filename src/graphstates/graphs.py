@@ -12,12 +12,16 @@ local complementation, an induced subgraph) builds it with _graph, which
 skips the check: its arguments were checked already, and the rewrite keeps
 the rows symmetric, loop-free and in range.  Inner loops such as the
 persistency search build hundreds of thousands of such graphs.
+
+Graph, stabilizer.PauliOp and stabilizer.LocalClifford are _Value classes:
+slotted, with equality, hash, repr and pickling written out once, in
+_Value.  They are not dataclasses because importing dataclasses (and the
+inspect module it loads) takes longer than most commands take to run.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 CANONICAL_CAP = 10  # vertices before canonical_form gives up
@@ -28,16 +32,51 @@ class CapExceeded(RuntimeError):
     """An operation was asked to exceed its configured size cap."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Value:
+    """Immutable value with the fields named in __slots__, which _key
+    returns in that order.  Equal only to an instance of the same class;
+    fields are set once, in __init__, through object.__setattr__."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._key()))
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
+class Graph(_Value):
     """Simple graph: symmetric bit-matrix adjacency with zero diagonal.
 
     Constructing a Graph validates the rows (__post_init__); graphs derived
     from a valid Graph inside this package are built by _graph without it.
     """
 
-    n: int
-    rows: tuple[int, ...]
+    __slots__ = ("n", "rows")
+
+    def __init__(self, n: int, rows: tuple[int, ...]) -> None:
+        _set_field(self, "n", n)
+        _set_field(self, "rows", rows)
+        self.__post_init__()
+
+    def _key(self) -> tuple[int, tuple[int, ...]]:
+        return self.n, self.rows
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -82,10 +121,8 @@ class Graph:
 
 # Bound once for _graph, which runs once per orbit member: the orbit decode
 # (orbits._graphs_of) maps it over the row tuples that it zips from one
-# chunk of interned row lists.  Writing the instance __dict__ instead gives
-# every Graph a dict object of its own (64 bytes more a Graph on CPython
-# 3.11), and it is no faster once the graphs are kept, as lc_orbit keeps
-# them.
+# chunk of interned row lists.  object.__setattr__ fills the slots past the
+# raising _Value.__setattr__.
 _new_object = object.__new__
 _set_field = object.__setattr__
 

@@ -10,8 +10,8 @@ the graph rule is applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import Graph, bits_of, delete_vertex, local_complement, to_graph6
 from .stabilizer import (
@@ -36,8 +36,7 @@ class ZeroProbabilityOutcome(ValueError):
     """The requested measurement outcome occurs with probability zero."""
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
+class MeasurementOutcome(NamedTuple):
     """Result of one Pauli measurement.
 
     graph_after uses post-deletion labels (vertices above the measured one

@@ -47,8 +47,8 @@ persistency are LC-invariant and computed once, on the representative.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from itertools import combinations, repeat
+from typing import NamedTuple
 
 from .entanglement import lower_bound_max_rank, pauli_persistency, rank_indices
 from .gf2 import gf2_kernel_basis
@@ -292,8 +292,7 @@ def lc_equivalent(g: Graph, h: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # classification
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(NamedTuple):
     """One equivalence class under local complementation plus isomorphism."""
 
     class_id: int
@@ -432,7 +431,7 @@ def _records(classes: list[list[Graph]]) -> list[ClassRecord]:
     records.sort(key=lambda r: (r.n_vertices, r.n_edges, r.lower, r.upper,
                                 r.ri_3 or (), r.ri_2 or (), r.member_count,
                                 r.edge_histogram, r.representative))
-    return [replace(r, class_id=i) for i, r in enumerate(records, 1)]
+    return [r._replace(class_id=i) for i, r in enumerate(records, 1)]
 
 
 # ---------------------------------------------------------------------------

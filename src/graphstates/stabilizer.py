@@ -16,9 +16,7 @@ checks them against the axis actions here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .graphs import Graph, bits_of, as_mask
+from .graphs import Graph, _set_field, _Value, bits_of, as_mask
 
 AXIS_X, AXIS_Y, AXIS_Z = 0, 1, 2
 
@@ -98,18 +96,20 @@ def clifford_axis_image(idx: int, axis: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Pauli operators
 
-@dataclass(frozen=True)
-class PauliOp:
-    n: int
-    x: int
-    z: int
-    phase: int = 0
+class PauliOp(_Value):
+    __slots__ = ("n", "x", "z", "phase")
 
-    def __post_init__(self) -> None:
-        full = (1 << self.n) - 1
-        if (self.x & ~full) or (self.z & ~full):
+    def __init__(self, n: int, x: int, z: int, phase: int = 0) -> None:
+        full = (1 << n) - 1
+        if (x & ~full) or (z & ~full):
             raise ValueError("support outside of qubit range")
-        object.__setattr__(self, "phase", self.phase % 4)
+        _set_field(self, "n", n)
+        _set_field(self, "x", x)
+        _set_field(self, "z", z)
+        _set_field(self, "phase", phase % 4)
+
+    def _key(self) -> tuple[int, int, int, int]:
+        return self.n, self.x, self.z, self.phase
 
     def __str__(self) -> str:
         """Human-readable form like '+XZZI' or '-iYY'."""
@@ -149,14 +149,17 @@ def stabilizer_element(g: Graph, subset) -> PauliOp:
 # ---------------------------------------------------------------------------
 # local Cliffords (one table index per vertex)
 
-@dataclass(frozen=True)
-class LocalClifford:
-    indices: tuple[int, ...]
+class LocalClifford(_Value):
+    __slots__ = ("indices",)
 
-    def __post_init__(self) -> None:
-        for i in self.indices:
+    def __init__(self, indices: tuple[int, ...]) -> None:
+        for i in indices:
             if not 0 <= i < 24:
                 raise ValueError("invalid Clifford index")
+        _set_field(self, "indices", indices)
+
+    def _key(self) -> tuple[tuple[int, ...]]:
+        return (self.indices,)
 
     @property
     def n(self) -> int:

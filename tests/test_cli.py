@@ -1,6 +1,5 @@
 """Command-line interface: formats, exit codes, determinism."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -247,26 +246,32 @@ _NUMPY_GUARD = """
 import contextlib, io, sys
 import graphstates
 from graphstates import cli
+def loaded():
+    return [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+after_import = loaded()
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["bounds", "Gr`HOk"]),
              cli.main(["classify", "5", "--format", "dot"]),
              cli.main(["orbit", "D~{", "--with-isomorphisms"]),
              cli.main(["measure", "D~{", "x0", "y1+", "z2-"])]
-    before_verify = "numpy" in sys.modules
+    before_verify = loaded()
     codes.append(cli.main(["verify", "--trials", "2"]))
-print(codes, before_verify, "numpy" in sys.modules)
+print(codes, after_import, before_verify, "numpy" in sys.modules)
 """
 
 
 def test_only_verify_loads_numpy():
     # every command but verify runs on integer tables; numpy comes in with
-    # the dense oracle, which verify alone imports
+    # the dense oracle, which verify alone imports.  The value classes are
+    # written out by hand, so neither the package nor those commands load
+    # dataclasses or inspect, which take longer to import than most
+    # commands take to run.
     src = Path(graphstates.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_GUARD],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 0, 0, 0, 0] False True\n"
+    assert proc.stdout == "[0, 0, 0, 0, 0] [] [] True\n"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -363,8 +368,8 @@ def _verify_with_mutated_byproducts(monkeypatch, mutate):
 
 def test_verify_catches_swapped_byproducts(capsys, monkeypatch):
     def swap(out):
-        return dataclasses.replace(out, byproduct_plus=out.byproduct_minus,
-                                   byproduct_minus=out.byproduct_plus)
+        return out._replace(byproduct_plus=out.byproduct_minus,
+                            byproduct_minus=out.byproduct_plus)
 
     assert _verify_with_mutated_byproducts(monkeypatch, swap) == 3
     assert "projection rule" in capsys.readouterr().out
@@ -373,7 +378,7 @@ def test_verify_catches_swapped_byproducts(capsys, monkeypatch):
 def test_verify_checks_the_minus_byproduct(capsys, monkeypatch):
     # The plus outcome stays right, so any failure comes from the minus check.
     def corrupt_minus(out):
-        return dataclasses.replace(out, byproduct_minus=out.byproduct_plus)
+        return out._replace(byproduct_minus=out.byproduct_plus)
 
     assert _verify_with_mutated_byproducts(monkeypatch, corrupt_minus) == 3
     out = capsys.readouterr().out
