@@ -38,7 +38,6 @@ from .stabilizer import (
     clifford_compose,
     clifford_conjugate_pauli,
     local_complement_clifford,
-    pauli_product,
     stabilizer_element,
     stabilizer_generator,
 )

@@ -26,6 +26,7 @@ from .graphs import (
     parse_graph6,
     random_connected_graph,
     to_graph6,
+    two_coloring,
 )
 from .measurement import run_sequence
 from .stabilizer import local_complement_clifford
@@ -82,7 +83,13 @@ def _cmd_bounds(args) -> int:
     for g in graphs:
         if g.n > args.max_vertices:
             raise CapExceeded(f"graph has {g.n} vertices, cap is {args.max_vertices}")
-    records = [entanglement.bounds_record(g, depth_limit=args.depth_limit) for g in graphs]
+    records = []
+    for g in graphs:
+        report = entanglement.bounds(g, args.depth_limit)
+        ri_2, ri_3 = entanglement.rank_indices(g)
+        records.append({"graph6": to_graph6(g), **report._asdict(),
+                        "RI_2": ri_2, "RI_3": ri_3,
+                        "two_colorable": two_coloring(g) is not None})
     if args.format == "json":
         _emit(json.dumps(records, indent=2) + "\n", args.output)
     elif args.format == "csv":

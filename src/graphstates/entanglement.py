@@ -77,9 +77,7 @@ from .graphs import (
     greedy_vertex_cover,
     is_connected,
     min_vertex_cover,
-    to_graph6,
     twin_reps,
-    two_coloring,
 )
 from .measurement import measure_via_lc
 
@@ -200,11 +198,11 @@ def lower_bound_max_rank(g: Graph) -> int:
 
 
 def _can_disentangle(g: Graph, budget: int, memo: dict) -> bool:
-    """Can budget measurements empty g?"""
+    """Can budget measurements empty g?  At budget 0 the cut-rank prune
+    refutes any g with an edge (then n >= 2, and an end of the edge is a
+    set of cut rank 1)."""
     if all(r == 0 for r in g.rows):
         return True
-    if budget <= 0:
-        return False
     rows = g.rows
     key = (rows, budget)
     # The memo holds the nodes that the search refutes or branches on; a
@@ -264,18 +262,3 @@ def bounds(g: Graph, depth_limit: int | None = None) -> BoundsReport:
     lower, upper, cover = _bounds_parts(g, depth_limit)
     return BoundsReport(lower, upper, cover, lower == upper)
 
-
-def bounds_record(g: Graph, depth_limit: int | None = None) -> dict:
-    """Flat record used for CSV/JSON rendering of a bounds query."""
-    rep = bounds(g, depth_limit)
-    ri_2, ri_3 = rank_indices(g)
-    return {
-        "graph6": to_graph6(g),
-        "lower": rep.lower,
-        "upper": rep.upper,
-        "cover_size": rep.cover_size,
-        "tight": rep.tight,
-        "RI_2": ri_2,
-        "RI_3": ri_3,
-        "two_colorable": two_coloring(g) is not None,
-    }

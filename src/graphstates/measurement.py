@@ -113,22 +113,24 @@ def measure_pauli(g: Graph, a: int, basis: str, b0: int | None = None) -> Measur
 
 
 def measure_via_lc(g: Graph, a: int, basis: str, b0: int | None = None) -> Graph:
-    """The rewritten graph of measure_pauli, built from local complementations:
-    z deletes, y complements then deletes, x conjugates by a complementation
-    at b0 on both sides of a y-style step."""
+    """The rewritten graph of measure_pauli: a word of local complementations
+    tau, then the deletion of a.
+
+    The rules are P_z: G - a, P_y: tau_a(G) - a and P_x: tau_b0(tau_a
+    tau_b0(G) - a).  Complementing at b0 != a commutes with deleting a, so
+    the last tau_b0 runs before the deletion, and the words are z (), y (a,)
+    and x (b0, a, b0), applied in that order.
+    """
     _check_basis(basis)
     g._check_vertex(a)
-    if basis == "z":
-        return delete_vertex(g, a)
     if basis == "y":
-        return delete_vertex(local_complement(g, a), a)
-    chosen = _default_b0(g, a, b0)
-    if chosen is None:
-        return g
-    h = local_complement(g, chosen)
-    h = delete_vertex(local_complement(h, a), a)
-    b0_new = chosen - 1 if chosen > a else chosen
-    return local_complement(h, b0_new)
+        g = local_complement(g, a)
+    elif basis == "x":
+        b0 = _default_b0(g, a, b0)
+        if b0 is None:
+            return g
+        g = local_complement(local_complement(local_complement(g, b0), a), b0)
+    return delete_vertex(g, a)
 
 
 def conjugate_basis(clifford_idx: int, basis: str, sign: int) -> tuple[str, int]:

@@ -50,7 +50,7 @@ import json
 from itertools import combinations, repeat
 from typing import NamedTuple
 
-from .entanglement import lower_bound_max_rank, pauli_persistency, rank_indices
+from .entanglement import bounds, rank_indices
 from .gf2 import gf2_kernel_basis
 from .graphs import (
     CapExceeded,
@@ -399,8 +399,8 @@ def _records(classes: list[list[Graph]]) -> list[ClassRecord]:
     """One record per class of _lc_classes, numbered in table order.
 
     The representative is the member with the least (edges, graph6), and
-    the LC-invariant columns (lower bound, rank indices, persistency) are
-    computed on it alone.  Records sort by (vertices, minimum edges, lower,
+    the LC-invariant columns (rank indices, and lower bound and persistency
+    from one bounds query) are computed on it alone.  Records sort by (vertices, minimum edges, lower,
     upper, rank indices, class size, members by edge count, representative).
     Up to n = 9 no two classes tie before the representative, so the order
     of the table does not depend on how canonical_form labels graphs.  Up to
@@ -415,14 +415,15 @@ def _records(classes: list[list[Graph]]) -> list[ClassRecord]:
         for g in members:
             histogram[g.edge_count] += 1
         ri_2, ri_3 = rank_indices(rep)
+        rep_bounds = bounds(rep)
         records.append(ClassRecord(
             class_id=0,  # numbered after the sort
             representative=to_graph6(rep),
             member_count=len(members),
             n_vertices=rep.n,
             n_edges=rep.edge_count,
-            lower=lower_bound_max_rank(rep),
-            upper=pauli_persistency(rep),
+            lower=rep_bounds.lower,
+            upper=rep_bounds.upper,
             ri_3=ri_3,
             ri_2=ri_2,
             has_two_colorable_member=any(two_coloring(g) is not None for g in members),

@@ -119,18 +119,6 @@ class PauliOp(_Value):
                                 for s in range(self.n))
 
 
-def identity_pauli(n: int) -> PauliOp:
-    return PauliOp(n, 0, 0, 0)
-
-
-def pauli_product(p: PauliOp, q: PauliOp) -> PauliOp:
-    """Operator product p*q with the phase tracked mod 4."""
-    if p.n != q.n:
-        raise ValueError("size mismatch")
-    extra = 2 * ((p.z & q.x).bit_count() & 1)  # Z X = - X Z per site
-    return PauliOp(p.n, p.x ^ q.x, p.z ^ q.z, p.phase + q.phase + extra)
-
-
 def stabilizer_generator(g: Graph, a: int) -> PauliOp:
     """X on a, Z on every neighbor of a."""
     g._check_vertex(a)
@@ -138,12 +126,20 @@ def stabilizer_generator(g: Graph, a: int) -> PauliOp:
 
 
 def stabilizer_element(g: Graph, subset) -> PauliOp:
-    """Ordered product of generators over the subset, ascending vertex index."""
+    """K_S, the product of the generators K_a over a in S in ascending order,
+    in closed form: K_S = (-1)^|E(S)| X_S Z_(xor of N(a) over a in S).
+
+    Bringing the product to X-before-Z form moves each Z of K_a past the X
+    of every later b in S, a sign flip when b is in N(a), so the phase is
+    sum over a in S of |N(a) & S| = 2|E(S)| (mod 4).
+    """
     mask = as_mask(g.n, subset)
-    out = identity_pauli(g.n)
+    z = phase = 0
     for a in bits_of(mask):
-        out = pauli_product(out, stabilizer_generator(g, a))
-    return out
+        row = g.rows[a]
+        z ^= row
+        phase += (row & mask).bit_count()
+    return PauliOp(g.n, mask, z, phase)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -119,19 +120,56 @@ def test_cap_exceeded_exits_two(capsys):
 
 def test_bounds_checks_every_graph_size_before_any_bounds(tmp_path, capsys, monkeypatch):
     calls = 0
-    original = entanglement.bounds_record
+    original = entanglement.bounds
 
     def counting(*args, **kwargs):
         nonlocal calls
         calls += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(entanglement, "bounds_record", counting)
+    monkeypatch.setattr(entanglement, "bounds", counting)
     path = tmp_path / "graphs.g6"
     path.write_text("".join(to_graph6(cycle_graph(n)) + "\n" for n in (9, 9, 9, 13)))
     assert main(["bounds", str(path)]) == 2
     assert calls == 0
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["measure", "A_", "q0"], 1,
+     "error: bad step 'q0': expected <basis><vertex>[+-], e.g. x0 or z2-\n"),
+    (["measure", "TWO", "x0"], 1, "error: measure expects exactly one input graph\n"),
+    (["orbit", "TWO"], 1, "error: orbit expects exactly one input graph\n"),
+    (["orbit", "Dhc", "--max-vertices", "4"], 2,
+     "cap exceeded: graph has 5 vertices, cap is 4\n"),
+], ids=["step-token", "measure-two", "orbit-two", "orbit-cap"])
+def test_entry_checks(tmp_path, capsys, argv, code, err):
+    two = tmp_path / "two.g6"
+    two.write_text("A_\nBw\n")
+    assert main([str(two) if a == "TWO" else a for a in argv]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
+@pytest.mark.parametrize("how", ["stdin", "output"])
+def test_bounds_reads_stdin_and_writes_an_output_file(tmp_path, capsys, monkeypatch, how):
+    text = "A_\n\nDhc\n"
+    path = tmp_path / "graphs.g6"
+    path.write_text(text)
+    assert main(["bounds", str(path), "--format", "csv"]) == 0
+    expected = capsys.readouterr().out
+    assert len(expected.splitlines()) == 3
+    if how == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main(["bounds", "-", "--format", "csv"]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected, "")
+    else:
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", str(path), "--format", "csv", "--output", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "")
+        assert out.read_text(encoding="utf-8") == expected
 
 
 def test_classify_two(capsys):

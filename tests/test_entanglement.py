@@ -408,6 +408,16 @@ def _disjoint_union(g, h):
     return from_edges(g.n + h.n, g.edges() + [(a + g.n, b + g.n) for a, b in h.edges()])
 
 
+@pytest.mark.parametrize("g, emptied", [
+    (complete_graph(2), False), (path_graph(3), False), (cycle_graph(5), False),
+    (empty_graph(3), True),
+], ids=["K2", "P3", "C5", "edgeless3"])
+def test_budget_zero_empties_only_an_edgeless_graph(g, emptied):
+    # no guard for budget 0: the cut-rank prune asks the kernel for a set of
+    # cut rank 1, which any edge gives
+    assert entanglement._can_disentangle(g, 0, {}) is emptied
+
+
 def test_budget_one_nodes_match_the_reference(connected_classes):
     rng = random.Random(35)
     graphs = [g for n in range(6) for g in _labelled_graphs(n)]

@@ -51,6 +51,29 @@ def test_graph_validation():
         from_edges(2, [(0, 0)])
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Graph(-1, ()), ValueError, "vertex count must be non-negative"),
+    (lambda: Graph(2, (0,)), ValueError, "need one adjacency row per vertex"),
+    (lambda: Graph(1, (0b10,)), ValueError, "adjacency bits outside vertex range"),
+    (lambda: from_edges(2, [(0, 2)]), IndexError, "edge (0,2) out of range"),
+    (lambda: cycle_graph(2), ValueError, "cycles need at least 3 vertices"),
+    (lambda: relabel(path_graph(3), (0, 0, 1)), ValueError,
+     "not a permutation of the vertices"),
+    (lambda: random_connected_graph(random.Random(0), 0), ValueError,
+     "need at least one vertex"),
+    (lambda: toggle_edge(path_graph(3), 1, 1), ValueError, "cannot toggle a loop"),
+    (lambda: to_graph6(empty_graph(63)), ValueError, "graph6 encoder supports n <= 62"),
+    (lambda: parse_graph6("!"), ValueError, "malformed graph6 header '!'"),
+    (lambda: parse_graph6(">>graph6<<!"), ValueError, "malformed graph6 header '!'"),
+], ids=["negative-n", "row-count", "row-bits", "edge-range", "short-cycle",
+        "relabel", "random-n", "toggle-loop", "graph6-n", "graph6-header",
+        "graph6-prefix"])
+def test_entry_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_toggle_is_involution():
     g = cycle_graph(5)
     assert toggle_edge(toggle_edge(g, 1, 2), 1, 2).rows == g.rows
@@ -374,6 +397,7 @@ def test_graph6_round_trip():
                  if rng.random() < 0.3]
         g = from_edges(n, edges)
         assert parse_graph6(to_graph6(g)).rows == g.rows
+        assert parse_graph6(">>graph6<<" + to_graph6(g)) == g  # optional header
 
 
 def test_graph6_rejects_malformed():

@@ -23,12 +23,13 @@ from graphstates.graphs import (
 )
 from graphstates.measurement import (
     ZeroProbabilityOutcome,
+    conjugate_basis,
     measure_pauli,
     measure_via_lc,
     run_sequence,
 )
 from graphstates.orbits import lc_equivalent
-from graphstates.stabilizer import identity_clifford
+from graphstates.stabilizer import CL_I, identity_clifford
 from test_oracle import BASIS_KETS, insert_qubit, project
 
 
@@ -84,6 +85,16 @@ def test_b0_is_checked_at_an_isolated_vertex(rule):
         rule(g, 0, "x", b0=99)
     with pytest.raises(ValueError):
         rule(g, 0, "x", b0=1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: conjugate_basis(CL_I, "x", 0), "sign must be +1 or -1"),
+    (lambda: run_sequence(path_graph(3), [(0, "x", 2)]), "outcome must be +1 or -1"),
+], ids=["conjugate-sign", "step-outcome"])
+def test_entry_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def _pairs_between(a_mask, b_mask):

@@ -122,6 +122,9 @@ def test_phase_equality():
     s = oracle.graph_state(path_graph(3))
     assert oracle.equal_up_to_global_phase(s, np.exp(0.7j) * s)
     assert not oracle.equal_up_to_global_phase(s, oracle.graph_state(cycle_graph(3)))
+    zero = np.zeros(len(s), dtype=complex)
+    assert not oracle.equal_up_to_global_phase(zero, s)
+    assert not oracle.equal_up_to_global_phase(s, zero)
 
 
 def test_phase_equality_rejects_states_of_different_sizes():
@@ -131,6 +134,18 @@ def test_phase_equality_rejects_states_of_different_sizes():
         oracle.equal_up_to_global_phase(s, oracle.graph_state(path_graph(2)))
     with pytest.raises(ValueError, match="size mismatch"):
         oracle.equal_up_to_global_phase(oracle.graph_state(path_graph(2)), s)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: oracle.apply_single_site(oracle.graph_state(path_graph(3)), 3,
+                                      PAULI_MATRICES[0]), IndexError, "3"),
+    (lambda: oracle.apply_local_clifford(oracle.graph_state(path_graph(3)),
+                                         identity_clifford(2)), ValueError, "size mismatch"),
+], ids=["single-site", "local-clifford-size"])
+def test_entry_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_identity_clifford_is_noop():

@@ -431,6 +431,17 @@ def test_classify_rejects_oversized_cap():
         orbits.classify(orbits.CLASSIFY_CAP + 1)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: orbits.classify(1), ValueError, "n_max must be at least 2"),
+    (lambda: orbits.classify(orbits.CLASSIFY_CAP + 1), CapExceeded,
+     f"classification capped at n_max<={orbits.CLASSIFY_CAP}"),
+], ids=["classify-small", "classify-cap"])
+def test_entry_checks(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_records_render_csv_json_dot():
     records = orbits.classify(3)
     csv_text = orbits.records_to_csv(records)
@@ -659,9 +670,12 @@ def test_classify_computes_no_cover_of_its_own(monkeypatch):
             return f(g)
         monkeypatch.setattr(module, name, wrapped)
 
-    assert "min_vertex_cover" not in vars(orbits)
+    # the bounds come from one bounds query per class, which asks the lower
+    # bound once; orbits has no name of its own for either part
+    for name in ("min_vertex_cover", "lower_bound_max_rank", "pauli_persistency"):
+        assert name not in vars(orbits)
     counting(entanglement, "min_vertex_cover")
-    counting(orbits, "lower_bound_max_rank")
+    counting(entanglement, "lower_bound_max_rank")
     counting(orbits, "rank_indices")
     orbits.classify(6)
     # each once per class representative: 19 classes of 142 members
