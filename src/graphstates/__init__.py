@@ -16,7 +16,6 @@ from .graphs import (
     canonical_form,
     complete_graph,
     cycle_graph,
-    delete_vertex,
     empty_graph,
     from_edges,
     grid_graph,
@@ -29,7 +28,6 @@ from .graphs import (
     petersen_graph,
     star_graph,
     to_graph6,
-    toggle_edge,
     two_coloring,
 )
 from .stabilizer import (

@@ -62,7 +62,7 @@ subset of that search's entries and trips the cap only on inputs where that
 search would.  On a 2-vCPU Xeon, odd rings up to C19 and the n = 12 gap
 graph KVp`qtKGUrkO finish in under 0.1 s, and
 random_connected_graph(random.Random(0), 20, 0.35) still reaches the cap, in
-1.0-1.5 s.
+0.6-1.1 s.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from .graphs import (
 )
 from .measurement import measure_via_lc
 
-SCAN_CAP = 20  # vertices before the bipartition scan gives up
+SCAN_CAP = 20  # vertices before lower_bound_max_rank gives up
 SEARCH_NODE_CAP = 20_000  # memo entries before the persistency search gives up
 
 
@@ -190,7 +190,7 @@ def _full_rank_split(rows: tuple[int, ...], n: int, k: int) -> int:
 def lower_bound_max_rank(g: Graph) -> int:
     """Maximum Schmidt rank over all bipartitions."""
     if g.n > SCAN_CAP:
-        raise CapExceeded(f"bipartition scan capped at n<={SCAN_CAP}, got n={g.n}")
+        raise CapExceeded(f"cut-rank lower bound capped at n<={SCAN_CAP}, got n={g.n}")
     for k in range(min(g.n // 2, greedy_vertex_cover(g).bit_count()), 0, -1):
         if _full_rank_split(g.rows, g.n, k):
             return k

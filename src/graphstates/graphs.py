@@ -10,8 +10,9 @@ public constructors (from_edges, complete_graph, ...) and parse_graph6.  A
 function that derives a graph from a valid Graph (an edit, a relabelling, a
 local complementation, an induced subgraph) builds it with _graph, which
 skips the check: its arguments were checked already, and the rewrite keeps
-the rows symmetric, loop-free and in range.  Inner loops such as the
-persistency search build hundreds of thousands of such graphs.
+the rows symmetric, loop-free and in range.  The orbit decode builds one
+per orbit member, and the persistency search one per child it makes
+(measurement.measure_via_lc).
 
 Graph, stabilizer.PauliOp and stabilizer.LocalClifford are _Value classes:
 slotted, with equality, hash, repr and pickling written out once, in
@@ -287,30 +288,6 @@ def random_tree(rng, n: int) -> Graph:
 
 # ---------------------------------------------------------------------------
 # edits
-
-def toggle_edge(g: Graph, a: int, b: int) -> Graph:
-    if a == b:
-        raise ValueError("cannot toggle a loop")
-    g._check_vertex(a)
-    g._check_vertex(b)
-    rows = list(g.rows)
-    rows[a] ^= 1 << b
-    rows[b] ^= 1 << a
-    return _graph(g.n, tuple(rows))
-
-
-def delete_vertex(g: Graph, a: int) -> Graph:
-    """Remove a and its edges; vertices above a shift down by one."""
-    g._check_vertex(a)
-    low = (1 << a) - 1
-    rows = []
-    for v in range(g.n):
-        if v == a:
-            continue
-        r = g.rows[v]
-        rows.append((r & low) | ((r >> (a + 1)) << a))
-    return _graph(g.n - 1, tuple(rows))
-
 
 def induced_subgraph(g: Graph, subset) -> Graph:
     """Keep only the vertices in subset (order preserved) and edges inside it."""

@@ -3,7 +3,7 @@
 Measuring x, y, or z at a vertex maps a graph state to another graph state up
 to a local Clifford byproduct on the remaining vertices.  Both outcomes give
 the same rewritten graph, built from local complementations and one vertex
-deletion (measure_via_lc); only the byproduct differs.  For measurement
+deletion (_measure_rows); only the byproduct differs.  For measurement
 sequences the accumulated byproduct re-interprets each requested basis before
 the graph rule is applied.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graphs import Graph, bits_of, delete_vertex, local_complement, to_graph6
+from .graphs import Graph, _graph, _lc_rows, bits_of, to_graph6
 from .stabilizer import (
     CL_I,
     CL_SQRT_IY,
@@ -105,32 +105,45 @@ def measure_pauli(g: Graph, a: int, basis: str, b0: int | None = None) -> Measur
         minus = {b: CL_Z for b in bits_of(nb0 & ~nb & ~(1 << a))}
         minus[chosen] = CL_SQRT_MIY
 
-    after = measure_via_lc(g, a, basis, chosen)
-    n_out = after.n
+    n_out = g.n - 1
+    after = _graph(n_out, _measure_rows(g.rows, a, basis, chosen))
     bp_plus = embed_clifford(n_out, _shift_down(plus, a))
     bp_minus = embed_clifford(n_out, _shift_down(minus, a))
     return MeasurementOutcome(after, bp_plus, bp_minus, Fraction(1, 2), chosen)
 
 
-def measure_via_lc(g: Graph, a: int, basis: str, b0: int | None = None) -> Graph:
-    """The rewritten graph of measure_pauli: a word of local complementations
-    tau, then the deletion of a.
+def _measure_rows(rows: tuple[int, ...], a: int, basis: str,
+                  b0: int | None) -> tuple[int, ...]:
+    """The rows after measuring basis at a: a word of local complementations
+    tau, then the deletion of a (vertices above a shift down by one).
 
     The rules are P_z: G - a, P_y: tau_a(G) - a and P_x: tau_b0(tau_a
     tau_b0(G) - a).  Complementing at b0 != a commutes with deleting a, so
     the last tau_b0 runs before the deletion, and the words are z (), y (a,)
-    and x (b0, a, b0), applied in that order.
+    and x (b0, a, b0), applied in that order.  For x with b0 None (a is
+    isolated) the rows come back unchanged, a included.  Nothing is checked:
+    the callers check basis, a and b0.
     """
+    if basis == "y":
+        rows = _lc_rows(rows, a)
+    elif basis == "x":
+        if b0 is None:
+            return rows
+        rows = _lc_rows(_lc_rows(_lc_rows(rows, b0), a), b0)
+    low = (1 << a) - 1
+    return tuple((r & low) | ((r >> (a + 1)) << a)
+                 for v, r in enumerate(rows) if v != a)
+
+
+def measure_via_lc(g: Graph, a: int, basis: str, b0: int | None = None) -> Graph:
+    """The rewritten graph of measure_pauli (see _measure_rows); b0 as
+    there.  x at an isolated vertex gives g back unchanged."""
     _check_basis(basis)
     g._check_vertex(a)
-    if basis == "y":
-        g = local_complement(g, a)
-    elif basis == "x":
+    if basis == "x":
         b0 = _default_b0(g, a, b0)
-        if b0 is None:
-            return g
-        g = local_complement(local_complement(local_complement(g, b0), a), b0)
-    return delete_vertex(g, a)
+    rows = _measure_rows(g.rows, a, basis, b0)
+    return _graph(len(rows), rows)
 
 
 def conjugate_basis(clifford_idx: int, basis: str, sign: int) -> tuple[str, int]:

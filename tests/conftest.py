@@ -41,6 +41,14 @@ def _connected_classes(n_max):
     return out
 
 
+def toggle_edge(g, a, b):
+    """g with the edge {a, b} added if absent and removed if present."""
+    rows = list(g.rows)
+    rows[a] ^= 1 << b
+    rows[b] ^= 1 << a
+    return Graph(g.n, tuple(rows))
+
+
 @pytest.fixture(scope="session")
 def connected_classes():
     """Canonical representatives of all connected isomorphism classes, n = 2..7."""

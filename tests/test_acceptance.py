@@ -22,7 +22,6 @@ from graphstates.graphs import (
     canonical_form,
     min_vertex_cover,
     cycle_graph,
-    delete_vertex,
     from_edges,
     grid_graph,
     local_complement,
@@ -33,10 +32,10 @@ from graphstates.graphs import (
     random_tree,
     relabel,
     to_graph6,
-    toggle_edge,
     two_coloring,
 )
 from graphstates.stabilizer import local_complement_clifford
+from conftest import toggle_edge
 from test_oracle import BASIS_KETS, insert_qubit, project
 from test_stabilizer import exact_support_count
 
@@ -294,7 +293,7 @@ def test_criterion_10_monotonicity(connected_classes, lc_classes7, classificatio
         for g in classes:
             lb = lower_bound_max_rank(g)
             for v in range(n):
-                assert lower_bound_max_rank(delete_vertex(g, v)) <= lb
+                assert lower_bound_max_rank(measurement.measure_via_lc(g, v, "z")) <= lb
     _report(10, "rank/bound monotonicity, exhaustive n<=7")
 
 

@@ -14,13 +14,11 @@ from graphstates import graphs, orbits
 from graphstates.graphs import (
     Graph,
     canonical_form,
-    delete_vertex,
     empty_graph,
     from_edges,
     induced_subgraph,
     local_complement,
     relabel,
-    toggle_edge,
 )
 from graphstates.measurement import BASES, measure_pauli, measure_via_lc
 
@@ -63,10 +61,7 @@ def test_every_derived_graph_passes_validation():
         out.append(relabel(g, rng.sample(range(g.n), g.n)))
         out.append(induced_subgraph(g, rng.getrandbits(g.n)))
         out.append(graphs._add_vertex(g, rng.getrandbits(g.n)))
-        out.extend(delete_vertex(g, a) for a in range(g.n))
         out.extend(local_complement(g, a) for a in range(g.n))
-        pairs = list(itertools.combinations(range(g.n), 2))
-        out.extend(toggle_edge(g, a, b) for a, b in pairs)
         if g.n <= 8:  # orbits of random graphs reach 10^4 members at n = 9-10
             out.extend(orbits.lc_orbit(g))
         if g.n <= 4:
@@ -88,5 +83,5 @@ def _graph_and_vertex(draw):
 def test_measured_and_complemented_graphs_pass_validation(case):
     g, a, basis = case
     for h in (measure_pauli(g, a, basis).graph_after, measure_via_lc(g, a, basis),
-              local_complement(g, a), delete_vertex(g, a), canonical_form(g)[0]):
+              local_complement(g, a), canonical_form(g)[0]):
         _assert_valid(h)

@@ -3,12 +3,13 @@
 import itertools
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from graphstates import entanglement, oracle
+from graphstates import entanglement, measurement, oracle
 from graphstates.entanglement import (
     SCAN_CAP,
     SEARCH_NODE_CAP,
@@ -26,7 +27,6 @@ from graphstates.graphs import (
     complete_graph,
     connected_components,
     cycle_graph,
-    delete_vertex,
     empty_graph,
     from_edges,
     greedy_vertex_cover,
@@ -42,11 +42,11 @@ from graphstates.graphs import (
     relabel,
     star_graph,
     to_graph6,
-    toggle_edge,
     two_coloring,
 )
 from graphstates.measurement import measure_via_lc
 from graphstates.orbits import lc_equivalent
+from conftest import toggle_edge
 from test_gf2 import gauss_jordan_kernel
 
 BOUNDS_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "bounds_pool.json"
@@ -509,6 +509,36 @@ def test_search_branches_on_one_vertex_of_each_twin_set(monkeypatch, connected_c
     assert pruned >= 20
 
 
+def test_each_search_child_is_checked_and_built_once(monkeypatch):
+    # the search's one step checks its basis and vertex and builds one Graph;
+    # the rule itself (measurement._measure_rows) checks nothing
+    counts = Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counting(*args):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, counting)
+
+    count(measurement, "_check_basis")
+    count(Graph, "_check_vertex")
+    count(measurement, "_graph")
+    count(entanglement, "measure_via_lc")
+    for g in (cycle_graph(7), parse_graph6("KVp`qtKGUrkO")):
+        counts.clear()
+        bounds(g)
+        assert counts["measure_via_lc"] > 0
+        assert counts == dict.fromkeys(
+            ("_check_basis", "_check_vertex", "_graph", "measure_via_lc"),
+            counts["measure_via_lc"])
+    for basis in ("z", "y", "x"):
+        counts.clear()
+        measurement.measure_pauli(cycle_graph(7), 3, basis)
+        assert counts == {"_check_basis": 1, "_check_vertex": 1, "_graph": 1}
+
+
 def _with_twin(g, v, adjacent):
     """g plus a new last vertex with v's neighbours (and v itself if adjacent)."""
     edges = g.edges() + [(w, g.n) for w in bits_of(g.rows[v])]
@@ -669,7 +699,7 @@ def test_vertex_deletion_does_not_raise_lower_bound():
     for _ in range(40):
         g = random_connected_graph(rng, rng.randrange(2, 9))
         v = rng.randrange(g.n)
-        assert lower_bound_max_rank(delete_vertex(g, v)) <= lower_bound_max_rank(g)
+        assert lower_bound_max_rank(measure_via_lc(g, v, "z")) <= lower_bound_max_rank(g)
 
 
 def test_rank_matches_reduced_density_rank():

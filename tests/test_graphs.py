@@ -19,7 +19,6 @@ from graphstates.graphs import (
     canonical_form,
     complete_graph,
     cycle_graph,
-    delete_vertex,
     empty_graph,
     from_edges,
     greedy_vertex_cover,
@@ -36,10 +35,11 @@ from graphstates.graphs import (
     relabel,
     star_graph,
     to_graph6,
-    toggle_edge,
     twin_reps,
     two_coloring,
 )
+from graphstates.measurement import measure_via_lc
+from conftest import toggle_edge
 
 
 def test_graph_validation():
@@ -61,12 +61,11 @@ def test_graph_validation():
      "not a permutation of the vertices"),
     (lambda: random_connected_graph(random.Random(0), 0), ValueError,
      "need at least one vertex"),
-    (lambda: toggle_edge(path_graph(3), 1, 1), ValueError, "cannot toggle a loop"),
     (lambda: to_graph6(empty_graph(63)), ValueError, "graph6 encoder supports n <= 62"),
     (lambda: parse_graph6("!"), ValueError, "malformed graph6 header '!'"),
     (lambda: parse_graph6(">>graph6<<!"), ValueError, "malformed graph6 header '!'"),
 ], ids=["negative-n", "row-count", "row-bits", "edge-range", "short-cycle",
-        "relabel", "random-n", "toggle-loop", "graph6-n", "graph6-header",
+        "relabel", "random-n", "graph6-n", "graph6-header",
         "graph6-prefix"])
 def test_entry_checks(call, error, message):
     with pytest.raises(error) as info:
@@ -74,14 +73,8 @@ def test_entry_checks(call, error, message):
     assert str(info.value) == message
 
 
-def test_toggle_is_involution():
-    g = cycle_graph(5)
-    assert toggle_edge(toggle_edge(g, 1, 2), 1, 2).rows == g.rows
-    assert toggle_edge(toggle_edge(g, 0, 2), 0, 2).rows == g.rows
-
-
 def test_delete_star_center():
-    assert delete_vertex(star_graph(5), 0).rows == empty_graph(4).rows
+    assert measure_via_lc(star_graph(5), 0, "z").rows == empty_graph(4).rows
 
 
 def test_induced_subgraph_of_cycle_is_path():

@@ -33,7 +33,6 @@ from graphstates.graphs import (
     relabel,
     star_graph,
     to_graph6,
-    toggle_edge,
     twin_reps,
     two_coloring,
 )
@@ -43,6 +42,7 @@ from graphstates.stabilizer import (
     stabilizer_element,
     stabilizer_generator,
 )
+from conftest import toggle_edge
 from test_gf2 import xor_of_selected
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
