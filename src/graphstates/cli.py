@@ -76,6 +76,67 @@ def _emit(text: str, output: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
+# class-table renderings
+
+def _ri_str(ri: tuple[int, ...] | None) -> str:
+    return "(" + ",".join(str(c) for c in ri) + ")" if ri is not None else ""
+
+
+CSV_HEADER = "no,class_size,n_vertices,n_edges,lower,upper,RI_3,RI_2,two_colorable"
+
+
+def records_to_csv(records) -> str:
+    lines = [CSV_HEADER]
+    for r in records:
+        lines.append(",".join([
+            str(r.class_id),
+            str(r.member_count),
+            str(r.n_vertices),
+            str(r.n_edges),
+            str(r.lower),
+            str(r.upper),
+            f'"{_ri_str(r.ri_3)}"',
+            f'"{_ri_str(r.ri_2)}"',
+            "yes" if r.has_two_colorable_member else "no",
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+def records_to_json(records) -> str:
+    out = []
+    for r in records:
+        out.append({
+            "no": r.class_id,
+            "class_size": r.member_count,
+            "n_vertices": r.n_vertices,
+            "n_edges": r.n_edges,
+            "lower": r.lower,
+            "upper": r.upper,
+            "RI_3": list(r.ri_3) if r.ri_3 is not None else None,
+            "RI_2": list(r.ri_2) if r.ri_2 is not None else None,
+            "two_colorable": r.has_two_colorable_member,
+            "representative": r.representative,
+        })
+    return json.dumps(out, indent=2)
+
+
+def representatives_dot(records) -> str:
+    """DOT rendering of one representative graph per class."""
+    lines = ["graph classes {"]
+    for r in records:
+        g = parse_graph6(r.representative)
+        lines.append(f"  subgraph cluster_{r.class_id} {{")
+        lines.append(f'    label="class {r.class_id}";')
+        for v in range(g.n):
+            lines.append(f"    c{r.class_id}_{v};")
+        for a, b in g.edges():
+            lines.append(f"    c{r.class_id}_{a} -- c{r.class_id}_{b};")
+        lines.append("  }")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_bounds(args) -> int:
@@ -98,7 +159,7 @@ def _cmd_bounds(args) -> int:
             lines.append(",".join([
                 r["graph6"], str(r["lower"]), str(r["upper"]),
                 str(r["cover_size"]), "yes" if r["tight"] else "no",
-                f'"{orbits._ri_str(r["RI_2"])}"', f'"{orbits._ri_str(r["RI_3"])}"',
+                f'"{_ri_str(r["RI_2"])}"', f'"{_ri_str(r["RI_3"])}"',
                 "yes" if r["two_colorable"] else "no"]))
         _emit("\n".join(lines) + "\n", args.output)
     else:
@@ -107,8 +168,8 @@ def _cmd_bounds(args) -> int:
             lines.append(
                 f'{r["graph6"]} lower={r["lower"]} upper={r["upper"]}'
                 f' cover={r["cover_size"]} tight={"yes" if r["tight"] else "no"}'
-                f' RI_2={orbits._ri_str(r["RI_2"])}'
-                f' RI_3={orbits._ri_str(r["RI_3"])}'
+                f' RI_2={_ri_str(r["RI_2"])}'
+                f' RI_3={_ri_str(r["RI_3"])}'
                 f' two_colorable={"yes" if r["two_colorable"] else "no"}')
         _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
@@ -117,11 +178,11 @@ def _cmd_bounds(args) -> int:
 def _cmd_classify(args) -> int:
     records = orbits.classify(args.n_max)
     if args.format == "json":
-        _emit(orbits.records_to_json(records) + "\n", args.output)
+        _emit(records_to_json(records) + "\n", args.output)
     elif args.format == "dot":
-        _emit(orbits.representatives_dot(records), args.output)
+        _emit(representatives_dot(records), args.output)
     else:
-        _emit(orbits.records_to_csv(records), args.output)
+        _emit(records_to_csv(records), args.output)
     return EXIT_OK
 
 

@@ -27,6 +27,12 @@ greedy vertex cover size: every cross edge has an end in a cover, so no cut
 rank exceeds c.  The rank indices come from one walk over the sets of at
 most 3 vertices that keeps the same XOR basis (rank_indices).
 
+The same fact makes the minimum cover of a bounds query cheap: no cut rank
+exceeds a cover's size, so a cover the size of the lower bound is minimum.
+_bounds_parts hands the lower bound to the cover search (graphs._min_cover)
+as its floor; the greedy cover comes back at once when it is that small,
+and otherwise the branch and bound stops at the first cover of that size.
+
 The persistency search prunes by cut rank at every node, which is the lower
 bound applied below the root.  A measurement takes a graph to a
 vertex-minor: local complementation keeps every cut rank, and deleting one
@@ -73,10 +79,10 @@ from .gf2 import _insert, gf2_rank_of_rows
 from .graphs import (
     CapExceeded,
     Graph,
+    _min_cover,
     as_mask,
     greedy_vertex_cover,
     is_connected,
-    min_vertex_cover,
     twin_reps,
 )
 from .measurement import measure_via_lc
@@ -201,9 +207,9 @@ def _can_disentangle(g: Graph, budget: int, memo: dict) -> bool:
     """Can budget measurements empty g?  At budget 0 the cut-rank prune
     refutes any g with an edge (then n >= 2, and an end of the edge is a
     set of cut rank 1)."""
-    if all(r == 0 for r in g.rows):
-        return True
     rows = g.rows
+    if not any(rows):
+        return True
     key = (rows, budget)
     # The memo holds the nodes that the search refutes or branches on; a
     # node that a greedy cover or one measurement settles is not stored.
@@ -232,7 +238,7 @@ def _bounds_parts(g: Graph, depth_limit: int | None) -> tuple[int, int, int]:
     depth_limit cut the search short, in which case it is still a valid upper
     bound (the cover size)."""
     lower = lower_bound_max_rank(g)
-    cover = min_vertex_cover(g).bit_count()
+    cover = _min_cover(g.rows, greedy_vertex_cover(g), lower).bit_count()
     if lower == cover:
         return lower, lower, cover
     memo: dict = {}

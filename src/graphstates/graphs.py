@@ -6,7 +6,10 @@ Graph.  Vertex subsets are plain int masks throughout; helpers convert from
 iterables of vertex indices.
 
 Rows are validated once, where they enter: Graph(n, rows) itself, the
-public constructors (from_edges, complete_graph, ...) and parse_graph6.  A
+public constructors (from_edges, complete_graph, ...) and parse_graph6.
+parse_graph6 checks its text (header, body length, characters, padding)
+and builds through _graph: graph6 holds only the upper triangle, so a body
+that passes those checks decodes to symmetric, loop-free rows.  A
 function that derives a graph from a valid Graph (an edit, a relabelling, a
 local complementation, an induced subgraph) builds it with _graph, which
 skips the check: its arguments were checked already, and the rewrite keeps
@@ -304,10 +307,12 @@ def induced_subgraph(g: Graph, subset) -> Graph:
 
 
 def _lc_rows(rows: tuple[int, ...], a: int) -> tuple[int, ...]:
-    nb = rows[a]
+    nb = m = rows[a]
     out = list(rows)
-    for b in bits_of(nb):
-        out[b] ^= nb ^ (1 << b)
+    while m:
+        low = m & -m
+        out[low.bit_length() - 1] ^= nb ^ low
+        m ^= low
     return tuple(out)
 
 
@@ -376,8 +381,12 @@ def two_coloring(g: Graph) -> tuple[int, int] | None:
 # vertex covers
 
 def _drop_vertex_edges(rows: list[int], v: int) -> None:
-    for w in bits_of(rows[v]):
-        rows[w] &= ~(1 << v)
+    bit = 1 << v
+    m = rows[v]
+    while m:
+        low = m & -m
+        rows[low.bit_length() - 1] ^= bit
+        m ^= low
     rows[v] = 0
 
 
@@ -390,10 +399,15 @@ def greedy_vertex_cover(g: Graph) -> int:
     top = max(deg, default=0)
     while top:
         v = deg.index(top)
-        cover |= 1 << v
-        for w in bits_of(rows[v]):
-            rows[w] &= ~(1 << v)
+        bit = 1 << v
+        cover |= bit
+        m = rows[v]
+        while m:
+            low = m & -m
+            w = low.bit_length() - 1
+            rows[w] ^= bit
             deg[w] -= 1
+            m ^= low
         rows[v] = 0
         deg[v] = 0
         top = max(deg)
@@ -404,43 +418,55 @@ def _matching_lower_bound(rows: list[int]) -> int:
     work = rows[:]
     size = 0
     for v in range(len(work)):
-        if work[v]:
-            w = next(bits_of(work[v]))
+        r = work[v]
+        if r:
+            w = (r & -r).bit_length() - 1
             size += 1
             _drop_vertex_edges(work, v)
             _drop_vertex_edges(work, w)
     return size
 
 
-def min_vertex_cover(g: Graph) -> int:
-    """Mask of an exact minimum vertex cover (branch and bound)."""
-    best_mask = greedy_vertex_cover(g)
-    best_size = best_mask.bit_count()
+def _min_cover(rows: tuple[int, ...], incumbent: int, floor: int) -> int:
+    """Mask of an exact minimum vertex cover of the graph with these rows,
+    by branch and bound from the cover incumbent, given that no cover has
+    fewer than floor vertices.  An incumbent of floor vertices comes back
+    at once, and the search stops at the first cover of floor vertices."""
+    best_mask = incumbent
+    best_size = incumbent.bit_count()
+    if best_size == floor:
+        return best_mask
+    n = len(rows)
 
-    def bb(rows: list[int], chosen: int, size: int) -> None:
+    def bb(rows: list[int], chosen: int, size: int) -> bool:
+        """Search below this node; True once a cover of floor vertices is met."""
         nonlocal best_mask, best_size
-        v = max(range(g.n), key=lambda u: rows[u].bit_count(), default=None)
-        if v is None or rows[v] == 0:
+        v = max(range(n), key=lambda u: rows[u].bit_count())
+        if rows[v] == 0:
             if size < best_size:
                 best_size, best_mask = size, chosen
-            return
+            return best_size == floor
         if size + _matching_lower_bound(rows) >= best_size:
-            return
+            return False
         nb = rows[v]
         # branch 1: v in the cover
         r1 = rows[:]
         _drop_vertex_edges(r1, v)
-        bb(r1, chosen | (1 << v), size + 1)
+        if bb(r1, chosen | (1 << v), size + 1):
+            return True
         # branch 2: all neighbors of v in the cover
         r2 = rows[:]
-        add = 0
         for w in bits_of(nb):
-            add |= 1 << w
             _drop_vertex_edges(r2, w)
-        bb(r2, chosen | add, size + nb.bit_count())
+        return bb(r2, chosen | nb, size + nb.bit_count())
 
-    bb(list(g.rows), 0, 0)
+    bb(list(rows), 0, 0)
     return best_mask
+
+
+def min_vertex_cover(g: Graph) -> int:
+    """Mask of an exact minimum vertex cover (branch and bound)."""
+    return _min_cover(g.rows, greedy_vertex_cover(g), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -671,4 +697,4 @@ def parse_graph6(text: str) -> Graph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             pos -= 1
-    return Graph(n, tuple(rows))
+    return _graph(n, tuple(rows))

@@ -68,7 +68,7 @@ def _default_b0(g: Graph, a: int, b0: int | None) -> int | None:
     None (None when a is isolated)."""
     nb = g.rows[a]
     if b0 is None:
-        return next(bits_of(nb), None)
+        return (nb & -nb).bit_length() - 1 if nb else None
     g._check_vertex(b0)
     if not (nb >> b0) & 1:
         raise ValueError(f"b0={b0} is not a neighbor of {a}")
@@ -131,8 +131,8 @@ def _measure_rows(rows: tuple[int, ...], a: int, basis: str,
             return rows
         rows = _lc_rows(_lc_rows(_lc_rows(rows, b0), a), b0)
     low = (1 << a) - 1
-    return tuple((r & low) | ((r >> (a + 1)) << a)
-                 for v, r in enumerate(rows) if v != a)
+    return tuple([(r & low) | ((r >> (a + 1)) << a)
+                  for v, r in enumerate(rows) if v != a])
 
 
 def measure_via_lc(g: Graph, a: int, basis: str, b0: int | None = None) -> Graph:

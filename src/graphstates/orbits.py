@@ -29,7 +29,7 @@ local complements from each new extension lists its members.  A canonical
 form (graphs.canonical_form) is one fixed labelling per isomorphism class,
 found by individualization-refinement, so a set of them holds each
 isomorphism class once; which labelling it is fixes the representatives
-that the JSON and DOT outputs print, but not the classes.  The walk
+that the CLI's JSON and DOT tables print, but not the classes.  The walk
 skips the complements that cannot give a new member: at a vertex of degree
 at most 1 (the graph itself), at any but the least vertex of a twin set
 (an isomorphic image; see graphs.twin_reps), and at the vertex that leads
@@ -46,7 +46,6 @@ persistency are LC-invariant and computed once, on the representative.
 
 from __future__ import annotations
 
-import json
 from itertools import combinations, repeat
 from typing import NamedTuple
 
@@ -61,7 +60,6 @@ from .graphs import (
     canonical_form,
     connected_components,
     local_complement,
-    parse_graph6,
     to_graph6,
     twin_reps,
     two_coloring,
@@ -433,64 +431,3 @@ def _records(classes: list[list[Graph]]) -> list[ClassRecord]:
                                 r.ri_3 or (), r.ri_2 or (), r.member_count,
                                 r.edge_histogram, r.representative))
     return [r._replace(class_id=i) for i, r in enumerate(records, 1)]
-
-
-# ---------------------------------------------------------------------------
-# renderings
-
-def _ri_str(ri: tuple[int, ...] | None) -> str:
-    return "(" + ",".join(str(c) for c in ri) + ")" if ri is not None else ""
-
-
-CSV_HEADER = "no,class_size,n_vertices,n_edges,lower,upper,RI_3,RI_2,two_colorable"
-
-
-def records_to_csv(records) -> str:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join([
-            str(r.class_id),
-            str(r.member_count),
-            str(r.n_vertices),
-            str(r.n_edges),
-            str(r.lower),
-            str(r.upper),
-            f'"{_ri_str(r.ri_3)}"',
-            f'"{_ri_str(r.ri_2)}"',
-            "yes" if r.has_two_colorable_member else "no",
-        ]))
-    return "\n".join(lines) + "\n"
-
-
-def records_to_json(records) -> str:
-    out = []
-    for r in records:
-        out.append({
-            "no": r.class_id,
-            "class_size": r.member_count,
-            "n_vertices": r.n_vertices,
-            "n_edges": r.n_edges,
-            "lower": r.lower,
-            "upper": r.upper,
-            "RI_3": list(r.ri_3) if r.ri_3 is not None else None,
-            "RI_2": list(r.ri_2) if r.ri_2 is not None else None,
-            "two_colorable": r.has_two_colorable_member,
-            "representative": r.representative,
-        })
-    return json.dumps(out, indent=2)
-
-
-def representatives_dot(records) -> str:
-    """DOT rendering of one representative graph per class."""
-    lines = ["graph classes {"]
-    for r in records:
-        g = parse_graph6(r.representative)
-        lines.append(f"  subgraph cluster_{r.class_id} {{")
-        lines.append(f'    label="class {r.class_id}";')
-        for v in range(g.n):
-            lines.append(f"    c{r.class_id}_{v};")
-        for a, b in g.edges():
-            lines.append(f"    c{r.class_id}_{a} -- c{r.class_id}_{b};")
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

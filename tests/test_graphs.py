@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from graphstates.entanglement import bounds, lower_bound_max_rank
 from graphstates.graphs import (
     CANONICAL_CAP,
     CapExceeded,
     Graph,
+    _min_cover,
     as_mask,
     bits_of,
     canonical_form,
@@ -64,9 +66,17 @@ def test_graph_validation():
     (lambda: to_graph6(empty_graph(63)), ValueError, "graph6 encoder supports n <= 62"),
     (lambda: parse_graph6("!"), ValueError, "malformed graph6 header '!'"),
     (lambda: parse_graph6(">>graph6<<!"), ValueError, "malformed graph6 header '!'"),
+    (lambda: parse_graph6(" "), ValueError, "empty graph6 string"),
+    (lambda: parse_graph6("~??~"), ValueError,
+     "multi-byte graph6 sizes (n > 62) are not supported"),
+    (lambda: parse_graph6("A"), ValueError, "graph6 body of 0 chars, expected 1"),
+    (lambda: parse_graph6("A>"), ValueError, "invalid graph6 character '>'"),
+    (lambda: parse_graph6("A" + chr(63 + 0b100001)), ValueError,
+     "nonzero trailing padding bits"),
 ], ids=["negative-n", "row-count", "row-bits", "edge-range", "short-cycle",
         "relabel", "random-n", "graph6-n", "graph6-header",
-        "graph6-prefix"])
+        "graph6-prefix", "graph6-empty", "graph6-multibyte", "graph6-length",
+        "graph6-char", "graph6-padding"])
 def test_entry_checks(call, error, message):
     with pytest.raises(error) as info:
         call()
@@ -133,14 +143,33 @@ def test_min_vertex_cover_examples():
     assert min_vertex_cover(complete_graph(4)).bit_count() == 3
 
 
-def test_min_vertex_cover_against_brute_force():
+def _cover_cases():
     rng = random.Random(5)
-    for _ in range(60):
-        g = random_connected_graph(rng, rng.randrange(2, 8))
+    return [random_connected_graph(rng, rng.randrange(2, 8)) for _ in range(60)]
+
+
+def test_min_vertex_cover_against_brute_force():
+    for g in _cover_cases():
         mask = min_vertex_cover(g)
         assert _covers(g, mask)
         assert mask.bit_count() == _brute_min_cover_size(g)
         assert greedy_vertex_cover(g).bit_count() >= mask.bit_count()
+
+
+def test_cover_floored_at_the_cut_rank_bound_against_brute_force():
+    # no cut rank exceeds a cover's size, so the search may stop at a cover
+    # the size of the lower bound; bounds runs it that way
+    for g in _cover_cases():
+        mask = _min_cover(g.rows, greedy_vertex_cover(g), lower_bound_max_rank(g))
+        assert _covers(g, mask)
+        assert mask.bit_count() == _brute_min_cover_size(g) == bounds(g).cover_size
+
+
+def test_cover_floored_at_the_cut_rank_bound_on_every_class_member(lc_classes8):
+    # 12,112 graphs; on 4,674 of them the lower bound is the minimum cover
+    for g in (g for cls in lc_classes8 for g in cls):
+        floored = _min_cover(g.rows, greedy_vertex_cover(g), lower_bound_max_rank(g))
+        assert floored.bit_count() == min_vertex_cover(g).bit_count()
 
 
 def _reference_greedy_cover(g):
@@ -391,6 +420,18 @@ def test_graph6_round_trip():
         g = from_edges(n, edges)
         assert parse_graph6(to_graph6(g)).rows == g.rows
         assert parse_graph6(">>graph6<<" + to_graph6(g)) == g  # optional header
+
+
+@given(st.data())
+def test_parsed_graph6_passes_the_entry_check(data):
+    # graph6 holds only the upper triangle, so parse_graph6 builds its
+    # result without Graph's check, which must accept it all the same
+    n = data.draw(st.integers(0, 30))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+    g = from_edges(n, [e for i, e in enumerate(pairs) if keep >> i & 1])
+    parsed = parse_graph6(to_graph6(g))
+    assert Graph(parsed.n, parsed.rows) == parsed == g
 
 
 def test_graph6_rejects_malformed():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from graphstates import entanglement, orbits
+from graphstates import cli, entanglement, orbits
 from graphstates.entanglement import pauli_persistency
 from graphstates.gf2 import gf2_rank_of_rows
 from graphstates.graphs import (
@@ -444,16 +444,16 @@ def test_entry_checks(call, error, message):
 
 def test_records_render_csv_json_dot():
     records = orbits.classify(3)
-    csv_text = orbits.records_to_csv(records)
+    csv_text = cli.records_to_csv(records)
     lines = csv_text.strip().splitlines()
-    assert lines[0] == orbits.CSV_HEADER
+    assert lines[0] == cli.CSV_HEADER
     assert len(lines) == 3
-    data = json.loads(orbits.records_to_json(records))
+    data = json.loads(cli.records_to_json(records))
     assert [d["no"] for d in data] == [1, 2]
     for d in data:
         g = parse_graph6(d["representative"])
         assert g.n == d["n_vertices"]
-    dot = orbits.representatives_dot(records)
+    dot = cli.representatives_dot(records)
     assert dot.startswith("graph classes {")
     assert "cluster_1" in dot and "--" in dot
 
@@ -466,7 +466,7 @@ def test_classes_cover_every_connected_graph(lc_classes7, connected_classes):
 
 def test_csv_matches_the_frozen_classify7_table(classification7):
     records = classification7
-    assert orbits.records_to_csv(records).encode() == (REFERENCE / "classify7.csv").read_bytes()
+    assert cli.records_to_csv(records).encode() == (REFERENCE / "classify7.csv").read_bytes()
 
 
 def test_classify_eight_matches_published_counts_and_the_frozen_table(classification8):
@@ -475,7 +475,7 @@ def test_classify_eight_matches_published_counts_and_the_frozen_table(classifica
     at8 = [r for r in classification8 if r.n_vertices == 8]
     assert len(at8) == 101
     assert sum(r.member_count for r in at8) == 11_117
-    assert orbits.records_to_csv(classification8).encode() == CLASSIFY8.read_bytes()
+    assert cli.records_to_csv(classification8).encode() == CLASSIFY8.read_bytes()
 
 
 def test_frozen_classify9_table_matches_published_counts_and_extends_classify8():
@@ -665,21 +665,23 @@ def test_classify_computes_no_cover_of_its_own(monkeypatch):
     def counting(module, name):
         f = getattr(module, name)
 
-        def wrapped(g):
+        def wrapped(*args):
             calls[name] += 1
-            return f(g)
+            return f(*args)
         monkeypatch.setattr(module, name, wrapped)
 
     # the bounds come from one bounds query per class, which asks the lower
-    # bound once; orbits has no name of its own for either part
-    for name in ("min_vertex_cover", "lower_bound_max_rank", "pauli_persistency"):
+    # bound once and runs the cover search (graphs._min_cover) once; orbits
+    # has no name of its own for either part
+    for name in ("min_vertex_cover", "_min_cover", "lower_bound_max_rank",
+                 "pauli_persistency"):
         assert name not in vars(orbits)
-    counting(entanglement, "min_vertex_cover")
+    counting(entanglement, "_min_cover")
     counting(entanglement, "lower_bound_max_rank")
     counting(orbits, "rank_indices")
     orbits.classify(6)
     # each once per class representative: 19 classes of 142 members
-    assert calls == {"min_vertex_cover": 19, "lower_bound_max_rank": 19, "rank_indices": 19}
+    assert calls == {"_min_cover": 19, "lower_bound_max_rank": 19, "rank_indices": 19}
 
 
 @pytest.mark.parametrize("name, column", [
