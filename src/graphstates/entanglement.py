@@ -29,17 +29,29 @@ most 3 vertices that keeps the same XOR basis (rank_indices).
 
 The same fact makes the minimum cover of a bounds query cheap: no cut rank
 exceeds a cover's size, so a cover the size of the lower bound is minimum.
-_bounds_parts hands the lower bound to the cover search (graphs._min_cover)
-as its floor; the greedy cover comes back at once when it is that small,
-and otherwise the branch and bound stops at the first cover of that size.
+_bounds_parts hands the lower bound to graphs._min_cover as its floor, which
+asks the one cover decision, graphs._cover_within, for k = floor,
+floor + 1, ... vertices; the first cover found is minimum.
 
-The persistency search prunes by cut rank at every node, which is the lower
+The persistency search decides whether a node, a graph G with a budget of
+b measurements, can be emptied, and it needs no z measurement: a node
+succeeds exactly when G has a vertex cover of at most b vertices or one of
+its children by y or x succeeds with budget b - 1.  Take a smallest set M
+of at most b Pauli measurements that empties G.  No vertex of M is
+isolated, since M without it would empty G too.  If every measurement in M
+is z, then G - M has no edges, so M is a cover of at most b vertices.
+Otherwise some v in M is measured in y or x; measurements on different
+qubits commute, so v can go first.  What is left is a local Clifford times
+the graph state of the rule's child, and the rest of M, conjugated by that
+Clifford, is still at most b - 1 Pauli measurements, which empty the child.
+
+The search prunes by cut rank at every node, which is the lower
 bound applied below the root.  A measurement takes a graph to a
 vertex-minor: local complementation keeps every cut rank, and deleting one
 vertex lowers any cut rank by at most 1 (Oum, Rank-width and vertex-minors,
 JCTB 95, 2005).  So a node with budget b and a set of cut rank b + 1 can
 never be emptied.  When b < floor(n/2) a node asks the kernel for such a
-set before the greedy cover check, which a cut rank above b would fail.
+set before the cover test, which a cut rank above b would fail.
 This one prune also refutes a node with more than b components with edges:
 one vertex with a neighbour in each of b + 1 of them is a set of cut rank
 b + 1, and those components hold at least 2(b + 1) vertices.
@@ -50,25 +62,17 @@ two default special neighbours may differ, but any choice gives a locally
 equivalent graph.  Persistency is invariant under both, so the pruning is
 exact.
 
-Nodes with a budget of one measurement are settled without branching: one
-that the prune lets through succeeds.  Such a node has no set of cut rank
-2 (with n <= 3 there is none to find), so it has one component with edges
-and every cut rank of that component is at most 1.  That component is then
-in the GHZ class, whose connected local-complementation orbit holds only
-the stars and the complete graph, and z at a star's centre or y at any
-vertex of a clique empties it.
-
 The node cap bounds the search at any n: it gives up with CapExceeded once
 its memo holds more than SEARCH_NODE_CAP nodes, the nodes it refutes or
-branches on.  The search without the prune and the budget-1 rule branches
-on every node it reaches whose greedy cover exceeds the budget, and these
-include every node the pruned search stores, since no cover is below a cut
-rank.  Pruned subtrees are never entered, so the pruned search stores a
-subset of that search's entries and trips the cap only on inputs where that
-search would.  On a 2-vCPU Xeon, odd rings up to C19 and the n = 12 gap
-graph KVp`qtKGUrkO finish in under 0.1 s, and
+branches on.  The search without the prune branches on every node it
+reaches that has no cover within its budget, and these include every node
+the pruned search stores, since no cover is below a cut rank.  Pruned
+subtrees are never entered, so the pruned search stores a subset of that
+search's entries and trips the cap only on inputs where that search would.
+On a 2-vCPU Xeon, odd rings up to C19 and the n = 12 gap graph
+KVp`qtKGUrkO finish in under 0.02 s, and
 random_connected_graph(random.Random(0), 20, 0.35) still reaches the cap, in
-0.6-1.1 s.
+0.8-1.3 s.
 """
 
 from __future__ import annotations
@@ -79,6 +83,7 @@ from .gf2 import _insert, gf2_rank_of_rows
 from .graphs import (
     CapExceeded,
     Graph,
+    _cover_within,
     _min_cover,
     as_mask,
     greedy_vertex_cover,
@@ -212,20 +217,20 @@ def _can_disentangle(g: Graph, budget: int, memo: dict) -> bool:
         return True
     key = (rows, budget)
     # The memo holds the nodes that the search refutes or branches on; a
-    # node that a greedy cover or one measurement settles is not stored.
+    # node with a cover within its budget is not stored.
     hit = memo.get(key)
     if hit is not None:
         return hit
     if budget < g.n // 2 and _full_rank_split(rows, g.n, budget + 1):
         result = False
-    elif budget == 1 or greedy_vertex_cover(g).bit_count() <= budget:
+    elif _cover_within(rows, budget) is not None:
         return True
     else:
         twins = twin_reps(rows)
         # a twin of a lesser vertex gives isomorphic children
         result = any(_can_disentangle(measure_via_lc(g, v, basis), budget - 1, memo)
                      for v in range(g.n) if rows[v] and twins[v] == v
-                     for basis in ("z", "y", "x"))
+                     for basis in ("y", "x"))
     memo[key] = result
     if len(memo) > SEARCH_NODE_CAP:
         raise CapExceeded(
@@ -238,9 +243,7 @@ def _bounds_parts(g: Graph, depth_limit: int | None) -> tuple[int, int, int]:
     depth_limit cut the search short, in which case it is still a valid upper
     bound (the cover size)."""
     lower = lower_bound_max_rank(g)
-    cover = _min_cover(g.rows, greedy_vertex_cover(g), lower).bit_count()
-    if lower == cover:
-        return lower, lower, cover
+    cover = _min_cover(g.rows, lower).bit_count()
     memo: dict = {}
     top = cover if depth_limit is None else min(cover, depth_limit + 1)
     for depth in range(lower, top):
@@ -256,10 +259,10 @@ def pauli_persistency(g: Graph, depth_limit: int | None = None) -> int:
     When the lower bound already meets the minimum vertex cover size no search
     is needed.  Otherwise the search deepens from the lower bound.  It
     refutes a node with budget b that has a set of cut rank b + 1, found by
-    the kernel; a node with one measurement left that this lets through
-    succeeds (its edges form a star or a clique).  It raises CapExceeded
-    once its memo, the nodes it refutes or branches on, holds more than
-    SEARCH_NODE_CAP of them, at any n.
+    the kernel, accepts one with a vertex cover of at most b vertices, and
+    otherwise measures y or x at each vertex with an edge.  It raises
+    CapExceeded once its memo, the nodes it refutes or branches on, holds
+    more than SEARCH_NODE_CAP of them, at any n.
     """
     return _bounds_parts(g, depth_limit)[1]
 

@@ -414,59 +414,47 @@ def greedy_vertex_cover(g: Graph) -> int:
     return cover
 
 
-def _matching_lower_bound(rows: list[int]) -> int:
-    work = rows[:]
-    size = 0
-    for v in range(len(work)):
-        r = work[v]
-        if r:
-            w = (r & -r).bit_length() - 1
-            size += 1
-            _drop_vertex_edges(work, v)
-            _drop_vertex_edges(work, w)
-    return size
+def _cover_within(rows: tuple[int, ...] | list[int], k: int) -> int | None:
+    """Mask of a vertex cover of at most k vertices of the graph with these
+    rows, or None if it has none.  A cover holds a vertex v of highest
+    degree d or else all of N(v), so the search branches on those two; and
+    k vertices cover at most k*d edges, so it gives up on a graph with
+    more."""
+    deg = [r.bit_count() for r in rows]
+    top = max(deg, default=0)
+    if not top:
+        return 0
+    if sum(deg) > 2 * k * top:
+        return None
+    v = deg.index(top)
+    work = list(rows)
+    _drop_vertex_edges(work, v)
+    found = _cover_within(work, k - 1)
+    if found is not None:
+        return found | 1 << v
+    if top > k:
+        return None
+    nb = rows[v]
+    work = list(rows)
+    for w in bits_of(nb):
+        _drop_vertex_edges(work, w)
+    found = _cover_within(work, k - top)
+    return None if found is None else found | nb
 
 
-def _min_cover(rows: tuple[int, ...], incumbent: int, floor: int) -> int:
-    """Mask of an exact minimum vertex cover of the graph with these rows,
-    by branch and bound from the cover incumbent, given that no cover has
-    fewer than floor vertices.  An incumbent of floor vertices comes back
-    at once, and the search stops at the first cover of floor vertices."""
-    best_mask = incumbent
-    best_size = incumbent.bit_count()
-    if best_size == floor:
-        return best_mask
-    n = len(rows)
-
-    def bb(rows: list[int], chosen: int, size: int) -> bool:
-        """Search below this node; True once a cover of floor vertices is met."""
-        nonlocal best_mask, best_size
-        v = max(range(n), key=lambda u: rows[u].bit_count())
-        if rows[v] == 0:
-            if size < best_size:
-                best_size, best_mask = size, chosen
-            return best_size == floor
-        if size + _matching_lower_bound(rows) >= best_size:
-            return False
-        nb = rows[v]
-        # branch 1: v in the cover
-        r1 = rows[:]
-        _drop_vertex_edges(r1, v)
-        if bb(r1, chosen | (1 << v), size + 1):
-            return True
-        # branch 2: all neighbors of v in the cover
-        r2 = rows[:]
-        for w in bits_of(nb):
-            _drop_vertex_edges(r2, w)
-        return bb(r2, chosen | nb, size + nb.bit_count())
-
-    bb(list(rows), 0, 0)
-    return best_mask
+def _min_cover(rows: tuple[int, ...], floor: int) -> int:
+    """Mask of a minimum vertex cover of the graph with these rows, given
+    that none has fewer than floor vertices: the first cover found within
+    floor, floor + 1, ... vertices."""
+    k = floor
+    while (cover := _cover_within(rows, k)) is None:
+        k += 1
+    return cover
 
 
 def min_vertex_cover(g: Graph) -> int:
-    """Mask of an exact minimum vertex cover (branch and bound)."""
-    return _min_cover(g.rows, greedy_vertex_cover(g), 0)
+    """Mask of an exact minimum vertex cover."""
+    return _min_cover(g.rows, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -464,8 +464,9 @@ def _is_star_or_complete(g):
 
 
 def test_connected_graphs_with_every_cut_rank_at_most_one_are_stars_or_complete(connected_classes):
-    # the lemma behind the budget-1 rule: such a graph is in the GHZ class,
-    # and y at any vertex of a clique or z at a star's centre empties it
+    # the nodes of budget 1 that pass the cut-rank prune: such a graph is in
+    # the GHZ class, where the cover test accepts a star and y at any vertex
+    # empties a clique
     found = 0
     for n in range(2, 8):
         for g in connected_classes[n]:

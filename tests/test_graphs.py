@@ -15,6 +15,7 @@ from graphstates.graphs import (
     CANONICAL_CAP,
     CapExceeded,
     Graph,
+    _cover_within,
     _min_cover,
     as_mask,
     bits_of,
@@ -42,6 +43,7 @@ from graphstates.graphs import (
 )
 from graphstates.measurement import measure_via_lc
 from conftest import toggle_edge
+from test_entanglement import _labelled_graphs
 
 
 def test_graph_validation():
@@ -156,11 +158,25 @@ def test_min_vertex_cover_against_brute_force():
         assert greedy_vertex_cover(g).bit_count() >= mask.bit_count()
 
 
+def test_cover_decision_against_brute_force():
+    # the one cover search: a cover within k exactly when the minimum is at most k
+    graphs = [g for n in range(6) for g in _labelled_graphs(n)] + _cover_cases()
+    for g in graphs:
+        least = _brute_min_cover_size(g)
+        for k in range(g.n + 1):
+            mask = _cover_within(g.rows, k)
+            if least <= k:
+                assert mask is not None and _covers(g, mask), (g.rows, k)
+                assert mask.bit_count() <= k, (g.rows, k)
+            else:
+                assert mask is None, (g.rows, k)
+
+
 def test_cover_floored_at_the_cut_rank_bound_against_brute_force():
     # no cut rank exceeds a cover's size, so the search may stop at a cover
     # the size of the lower bound; bounds runs it that way
     for g in _cover_cases():
-        mask = _min_cover(g.rows, greedy_vertex_cover(g), lower_bound_max_rank(g))
+        mask = _min_cover(g.rows, lower_bound_max_rank(g))
         assert _covers(g, mask)
         assert mask.bit_count() == _brute_min_cover_size(g) == bounds(g).cover_size
 
@@ -168,7 +184,7 @@ def test_cover_floored_at_the_cut_rank_bound_against_brute_force():
 def test_cover_floored_at_the_cut_rank_bound_on_every_class_member(lc_classes8):
     # 12,112 graphs; on 4,674 of them the lower bound is the minimum cover
     for g in (g for cls in lc_classes8 for g in cls):
-        floored = _min_cover(g.rows, greedy_vertex_cover(g), lower_bound_max_rank(g))
+        floored = _min_cover(g.rows, lower_bound_max_rank(g))
         assert floored.bit_count() == min_vertex_cover(g).bit_count()
 
 

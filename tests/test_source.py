@@ -31,3 +31,41 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_every_imported_name_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources):
+    """The top-level private functions and classes of these sources that no
+    source reads outside their own definition, sorted."""
+    defined, read = set(), set()
+    for source in sources:
+        for top in ast.parse(source).body:
+            own = None
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and top.name.startswith("_") and not top.name.endswith("__")):
+                own = top.name
+                defined.add(own)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    return sorted(defined - read)
+
+
+def test_unread_private_names_are_found():
+    sources = [
+        "def _used():\n    pass\ndef _recursive():\n    return _recursive()\n"
+        "class _Base:\n    pass\ndef __getattr__(name):\n    pass\n",
+        "from m import _used, _imported\nclass C(_Base):\n    x = _used()\n"
+        "def _unused():\n    _stored = 1\n",
+    ]
+    assert unread_private_names(sources) == ["_recursive", "_unused"]
+
+
+def test_every_private_name_is_read():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unread_private_names(sources) == []
