@@ -3,9 +3,13 @@
 Measuring x, y, or z at a vertex maps a graph state to another graph state up
 to a local Clifford byproduct on the remaining vertices.  Both outcomes give
 the same rewritten graph, built from local complementations and one vertex
-deletion (_measure_rows); only the byproduct differs.  For measurement
-sequences the accumulated byproduct re-interprets each requested basis before
-the graph rule is applied.
+deletion (_measure_rows); only the byproduct differs.  Each byproduct is one
+index list over the input vertices: the rule sets its entries, the entry of
+the measured vertex is deleted, and the list becomes a LocalClifford.  For
+measurement sequences the accumulated byproduct re-interprets each requested
+basis before the graph rule is applied, and run_sequence takes the one
+deterministic case, x at an isolated vertex, from measure_pauli's outcome
+(prob_plus 1, vertex kept).
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .stabilizer import (
     CLIFFORD_INVERSE,
     LocalClifford,
     clifford_axis_image,
-    embed_clifford,
     identity_clifford,
 )
 
@@ -58,14 +61,14 @@ def _check_basis(basis: str) -> None:
         raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
 
 
-def _shift_down(assignments: dict[int, int], removed: int) -> dict[int, int]:
-    return {(v - 1 if v > removed else v): c for v, c in assignments.items()
-            if v != removed}
-
-
-def _default_b0(g: Graph, a: int, b0: int | None) -> int | None:
-    """b0 checked to be a neighbor of a, or a's least neighbor when b0 is
-    None (None when a is isolated)."""
+def _default_b0(g: Graph, a: int, basis: str, b0: int | None) -> int | None:
+    """The special neighbor of the rules: for x, b0 checked to be a neighbor
+    of a, or a's least neighbor when b0 is None (None when a is isolated);
+    for y and z, None, and a given b0 is an error."""
+    if basis != "x":
+        if b0 is not None:
+            raise ValueError(f"b0 is for basis x only, got b0={b0} with basis {basis}")
+        return None
     nb = g.rows[a]
     if b0 is None:
         return (nb & -nb).bit_length() - 1 if nb else None
@@ -81,35 +84,37 @@ def measure_pauli(g: Graph, a: int, basis: str, b0: int | None = None) -> Measur
     For basis x at a non-isolated vertex a special neighbor b0 is required
     (default: the minimum-index neighbor); any choice gives locally
     equivalent results.  A given b0 must be a neighbor of a, at an isolated
-    vertex too.
+    vertex too, and is an error with y or z.
     """
     _check_basis(basis)
     g._check_vertex(a)
-    nb = g.rows[a]
-
-    chosen = _default_b0(g, a, b0) if basis == "x" else None
+    chosen = _default_b0(g, a, basis, b0)
     if basis == "x" and chosen is None:
         ident = identity_clifford(g.n)
         return MeasurementOutcome(g, ident, ident, Fraction(1), None)
 
+    nb = g.rows[a]
+    plus = [CL_I] * g.n
+    minus = [CL_I] * g.n
     if basis == "z":
-        plus: dict[int, int] = {}
-        minus = {b: CL_Z for b in bits_of(nb)}
+        for b in bits_of(nb):
+            minus[b] = CL_Z
     elif basis == "y":
-        plus = {b: CL_SQRT_MIZ for b in bits_of(nb)}
-        minus = {b: CL_SQRT_IZ for b in bits_of(nb)}
+        for b in bits_of(nb):
+            plus[b] = CL_SQRT_MIZ
+            minus[b] = CL_SQRT_IZ
     else:
         nb0 = g.rows[chosen]
-        plus = {b: CL_Z for b in bits_of(nb & ~nb0 & ~(1 << chosen))}
+        for b in bits_of(nb & ~nb0):
+            plus[b] = CL_Z
+        for b in bits_of(nb0 & ~nb):
+            minus[b] = CL_Z
         plus[chosen] = CL_SQRT_IY
-        minus = {b: CL_Z for b in bits_of(nb0 & ~nb & ~(1 << a))}
         minus[chosen] = CL_SQRT_MIY
-
-    n_out = g.n - 1
-    after = _graph(n_out, _measure_rows(g.rows, a, basis, chosen))
-    bp_plus = embed_clifford(n_out, _shift_down(plus, a))
-    bp_minus = embed_clifford(n_out, _shift_down(minus, a))
-    return MeasurementOutcome(after, bp_plus, bp_minus, Fraction(1, 2), chosen)
+    del plus[a], minus[a]
+    after = _graph(g.n - 1, _measure_rows(g.rows, a, basis, chosen))
+    return MeasurementOutcome(after, LocalClifford(tuple(plus)), LocalClifford(tuple(minus)),
+                              Fraction(1, 2), chosen)
 
 
 def _measure_rows(rows: tuple[int, ...], a: int, basis: str,
@@ -140,9 +145,7 @@ def measure_via_lc(g: Graph, a: int, basis: str, b0: int | None = None) -> Graph
     there.  x at an isolated vertex gives g back unchanged."""
     _check_basis(basis)
     g._check_vertex(a)
-    if basis == "x":
-        b0 = _default_b0(g, a, b0)
-    rows = _measure_rows(g.rows, a, basis, b0)
+    rows = _measure_rows(g.rows, a, basis, _default_b0(g, a, basis, b0))
     return _graph(len(rows), rows)
 
 
@@ -170,7 +173,7 @@ def run_sequence(g: Graph, steps, rng=None) -> tuple[list[dict], Graph, LocalCli
     byproduct on its vertices, and the probability of the outcome string.
     """
     current = g
-    orig_to_cur = {v: v for v in range(g.n)}
+    labels = list(range(g.n))  # input label of each vertex of current, None once measured
     byp = [CL_I] * g.n
     prob = Fraction(1)
     transcript = []
@@ -183,27 +186,25 @@ def run_sequence(g: Graph, steps, rng=None) -> tuple[list[dict], Graph, LocalCli
             sign = 1 if rng.random() < 0.5 else -1
         elif sign not in (1, -1):
             raise ValueError("outcome must be +1 or -1")
-        if vertex not in orig_to_cur:
+        if vertex is None or vertex not in labels:
             raise ValueError(f"vertex {vertex} already measured or out of range")
-        v = orig_to_cur.pop(vertex)
+        v = labels.index(vertex)
         basis_eff, sign_eff = conjugate_basis(byp[v], basis, sign)
-        if basis_eff == "x" and current.rows[v] == 0:
-            # the isolated vertex stays in the graph; only +1 can occur
+        out = measure_pauli(current, v, basis_eff)
+        if out.prob_plus == 1:
+            # x at an isolated vertex: it stays in the graph; only +1 can occur
+            labels[v] = None
             if sign_eff < 0:
                 if not drawn:
                     raise ZeroProbabilityOutcome(
                         f"outcome {sign:+d} for {basis} at vertex {vertex} cannot occur")
                 sign = -sign
         else:
-            out = measure_pauli(current, v, basis_eff)
             w = out.byproduct_plus if sign_eff > 0 else out.byproduct_minus
-            rest = byp[:v] + byp[v + 1:]
-            byp = [CLIFFORD_COMPOSE[u][wi] for u, wi in zip(rest, w.indices)]
+            del byp[v], labels[v]
+            byp = [CLIFFORD_COMPOSE[u][wi] for u, wi in zip(byp, w.indices)]
             current = out.graph_after
-            for k in orig_to_cur:
-                if orig_to_cur[k] > v:
-                    orig_to_cur[k] -= 1
-            prob *= Fraction(1, 2)
+            prob *= out.prob_plus
         transcript.append({
             "vertex": vertex,
             "basis": basis,

@@ -71,7 +71,6 @@ from .stabilizer import (
     LocalClifford,
     clifford_compose,
     clifford_conjugate_pauli,
-    embed_clifford,
     stabilizer_element,
     stabilizer_generator,
 )
@@ -261,8 +260,10 @@ def lc_equivalence_witness(g: Graph, h: Graph) -> LocalClifford | None:
         for i in bits_of(image.x | (flip // 2) << n):
             columns[i] |= 1 << a
     (t,) = gf2_kernel_basis(columns)  # the X-parts x_a are independent
-    flips = embed_clifford(n, {v: CL_Z for v in bits_of(t & g.vertex_mask())})
-    return clifford_compose(flips, u)
+    flips = [CL_I] * n
+    for v in bits_of(t & g.vertex_mask()):
+        flips[v] = CL_Z
+    return clifford_compose(LocalClifford(tuple(flips)), u)
 
 
 def lc_equivalent(g: Graph, h: Graph) -> bool:

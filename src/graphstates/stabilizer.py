@@ -171,13 +171,6 @@ def identity_clifford(n: int) -> LocalClifford:
     return LocalClifford((CL_I,) * n)
 
 
-def embed_clifford(n: int, assignments: dict[int, int]) -> LocalClifford:
-    idx = [CL_I] * n
-    for v, c in assignments.items():
-        idx[v] = c
-    return LocalClifford(tuple(idx))
-
-
 def clifford_compose(u: LocalClifford, v: LocalClifford) -> LocalClifford:
     """Composite acting as v first, then u (matrix product u @ v per site)."""
     if u.n != v.n:
@@ -235,7 +228,8 @@ def local_complement_clifford(g: Graph, a: int) -> LocalClifford:
     """Per-vertex Clifford turning the graph state into that of the local
     complement at a: quarter X-turn on a, quarter Z-turns on its neighbors."""
     g._check_vertex(a)
-    assign = {a: CL_SQRT_MIX}
+    indices = [CL_I] * g.n
     for b in bits_of(g.rows[a]):
-        assign[b] = CL_SQRT_IZ
-    return embed_clifford(g.n, assign)
+        indices[b] = CL_SQRT_IZ
+    indices[a] = CL_SQRT_MIX
+    return LocalClifford(tuple(indices))

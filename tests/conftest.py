@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import settings
 
@@ -7,6 +9,7 @@ from graphstates.graphs import (
     Graph,
     _add_vertex,
     canonical_form,
+    from_edges,
     is_connected,
     local_complement,
     relabel,
@@ -39,6 +42,14 @@ def _connected_classes(n_max):
         out[n] = tuple(sorted((g for g in level if is_connected(g)),
                               key=lambda g: (g.edge_count, to_graph6(g))))
     return out
+
+
+def labelled_graphs(n):
+    """Every labelled graph on n vertices: bit i of the mask keeps the i-th
+    pair of itertools.combinations(range(n), 2), masks in increasing order."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
 
 
 def toggle_edge(g, a, b):

@@ -46,7 +46,7 @@ from graphstates.graphs import (
 )
 from graphstates.measurement import measure_via_lc
 from graphstates.orbits import lc_equivalent
-from conftest import toggle_edge
+from conftest import labelled_graphs, toggle_edge
 from test_gf2 import gauss_jordan_kernel
 
 BOUNDS_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "bounds_pool.json"
@@ -156,15 +156,9 @@ def _reference_rank_indices(g):
                  for k in (2, 3))
 
 
-def _labelled_graphs(n):
-    pairs = list(itertools.combinations(range(n), 2))
-    for keep in range(1 << len(pairs)):
-        yield from_edges(n, [e for i, e in enumerate(pairs) if (keep >> i) & 1])
-
-
 def test_lower_bound_matches_mask_order_scan_on_all_small_labelled_graphs():
     for n in range(0, 6):
-        for g in _labelled_graphs(n):
+        for g in labelled_graphs(n):
             assert lower_bound_max_rank(g) == _reference_max_rank(g), g.rows
 
 
@@ -219,7 +213,7 @@ def _check_full_rank_split(g):
 
 def test_full_rank_split_matches_brute_force_on_all_small_labelled_graphs():
     for n in range(0, 7):
-        for g in _labelled_graphs(n):
+        for g in labelled_graphs(n):
             _check_full_rank_split(g)
 
 
@@ -420,7 +414,7 @@ def test_budget_zero_empties_only_an_edgeless_graph(g, emptied):
 
 def test_budget_one_nodes_match_the_reference(connected_classes):
     rng = random.Random(35)
-    graphs = [g for n in range(6) for g in _labelled_graphs(n)]
+    graphs = [g for n in range(6) for g in labelled_graphs(n)]
     for n in range(2, 8):
         graphs += [relabel(g, rng.sample(range(n), n)) for g in connected_classes[n]]
     small = [g for n in range(2, 5) for g in connected_classes[n]]

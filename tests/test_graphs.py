@@ -42,8 +42,7 @@ from graphstates.graphs import (
     two_coloring,
 )
 from graphstates.measurement import measure_via_lc
-from conftest import toggle_edge
-from test_entanglement import _labelled_graphs
+from conftest import labelled_graphs, toggle_edge
 
 
 def test_graph_validation():
@@ -160,7 +159,7 @@ def test_min_vertex_cover_against_brute_force():
 
 def test_cover_decision_against_brute_force():
     # the one cover search: a cover within k exactly when the minimum is at most k
-    graphs = [g for n in range(6) for g in _labelled_graphs(n)] + _cover_cases()
+    graphs = [g for n in range(6) for g in labelled_graphs(n)] + _cover_cases()
     for g in graphs:
         least = _brute_min_cover_size(g)
         for k in range(g.n + 1):
@@ -232,14 +231,8 @@ def test_canonical_witness_permutation():
         assert relabel(g, perm).rows == canon.rows
 
 
-def _all_labelled_graphs(n):
-    pairs = list(itertools.combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-
-
 def test_twin_reps_picks_the_least_twin(connected_classes):
-    graphs = [g for n in range(6) for g in _all_labelled_graphs(n)]
+    graphs = [g for n in range(6) for g in labelled_graphs(n)]
     graphs += [g for n in range(2, 8) for g in connected_classes[n]]
     for g in graphs:
         nbrs = [set(bits_of(r)) for r in g.rows]

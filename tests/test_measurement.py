@@ -13,6 +13,7 @@ from graphstates.graphs import (
     complete_graph,
     cycle_graph,
     from_edges,
+    parse_graph6,
     path_graph,
     random_connected_graph,
     star_graph,
@@ -83,6 +84,16 @@ def test_b0_is_checked_at_an_isolated_vertex(rule):
         rule(g, 0, "x", b0=99)
     with pytest.raises(ValueError):
         rule(g, 0, "x", b0=1)
+
+
+@pytest.mark.parametrize("rule", [measure_pauli, measure_via_lc])
+def test_b0_is_for_x_only(rule):
+    g = path_graph(3)
+    for basis, b0 in (("z", 99), ("y", -5), ("z", 0), ("y", 2)):
+        with pytest.raises(ValueError, match="b0 is for basis x only"):
+            rule(g, 1, basis, b0=b0)
+    assert rule(g, 1, "x", b0=0) == rule(g, 1, "x")
+    assert rule(g, 1, "y", b0=None) == rule(g, 1, "y")
 
 
 @pytest.mark.parametrize("call, message", [
@@ -212,18 +223,23 @@ def test_threading_turns_z_into_x_after_x():
 
 def test_sequence_matches_dense_projections():
     rng = random.Random(17)
-    done = 0
+    done = isolated = 0
     while done < 25:
         n = rng.randrange(3, 8)
         g = random_connected_graph(rng, n)
         verts = rng.sample(range(n), rng.randrange(1, n))
         steps = [(v, rng.choice("xyz"), rng.choice((1, -1))) for v in verts]
         try:
-            final, byp, p = run_sequence(g, steps)[1:]
+            transcript, final, byp, p = run_sequence(g, steps)
         except ZeroProbabilityOutcome:
             continue
-        if final.n != n - len(verts):
-            continue  # a step hit an isolated vertex in the x basis
+        # a step whose graph lost a vertex traced it out; an x step at an
+        # isolated vertex keeps it, in the same state U|+> on both sides,
+        # with U the byproduct at that vertex
+        sizes = [n] + [parse_graph6(rec["graph6_after"]).n for rec in transcript]
+        gone = [v for (v, _, _), before, after in zip(steps, sizes, sizes[1:])
+                if after < before]
+        isolated += len(gone) < len(verts)
         state = oracle.graph_state(g)
         prob = 1.0
         for v, basis, sign in steps:
@@ -232,9 +248,10 @@ def test_sequence_matches_dense_projections():
         assert abs(prob - float(p)) < 1e-12
         ref = oracle.graph_state(final)
         ref = oracle.apply_local_clifford(ref, byp)
-        rho = oracle.reduced_density(state, sorted(verts))
+        rho = oracle.reduced_density(state, gone)
         assert np.max(np.abs(rho - np.outer(ref, ref.conj()))) < 1e-9
         done += 1
+    assert isolated == 1
 
 
 def test_zero_probability_outcome_raises():

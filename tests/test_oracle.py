@@ -6,7 +6,6 @@ acceptance tests."""
 
 import random
 import warnings
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from graphstates.stabilizer import (
     identity_clifford,
     stabilizer_generator,
 )
+from conftest import labelled_graphs
 
 
 def test_single_vertex_state():
@@ -281,15 +281,9 @@ def _cz_reference(g):
     return vec
 
 
-def _labelled_graphs(n):
-    pairs = list(combinations(range(n), 2))
-    return [from_edges(n, [p for i, p in enumerate(pairs) if (bits >> i) & 1])
-            for bits in range(1 << len(pairs))]
-
-
 def test_graph_state_equals_cz_reference_on_all_labelled_graphs_up_to_5():
     for n in range(6):
-        for g in _labelled_graphs(n):
+        for g in labelled_graphs(n):
             assert np.array_equal(oracle.graph_state(g), _cz_reference(g)), g.edges()
 
 
@@ -402,7 +396,7 @@ def test_kron_apply_matches_the_full_kron_product():
 def test_contraction_times_the_ket_is_the_projected_state():
     # P_b psi = |b> (x) <b|_a psi, and |<b|_a psi|^2 is the outcome's probability
     rng = random.Random(40)
-    graphs = [g for n in range(1, 5) for g in _labelled_graphs(n)]
+    graphs = [g for n in range(1, 5) for g in labelled_graphs(n)]
     graphs += [random_connected_graph(rng, n) for n in range(5, oracle.STATE_CAP + 1)
                for _ in range(2)]
     for g in graphs:

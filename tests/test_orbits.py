@@ -42,19 +42,13 @@ from graphstates.stabilizer import (
     stabilizer_element,
     stabilizer_generator,
 )
-from conftest import toggle_edge
+from conftest import labelled_graphs, toggle_edge
 from test_gf2 import xor_of_selected
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 CLASSIFY8 = Path(__file__).resolve().parent / "data" / "classify8.csv"
 CLASSIFY9 = Path(__file__).resolve().parent / "data" / "classify9.csv"
 LC_POOL = REFERENCE / "lc_pool.json"
-
-
-def _all_graphs(n):
-    pairs = list(itertools.combinations(range(n), 2))
-    for m in range(1 << len(pairs)):
-        yield from_edges(n, [p for i, p in enumerate(pairs) if (m >> i) & 1])
 
 
 def _scramble(rng, g, steps):
@@ -191,7 +185,7 @@ def test_lc_equivalent_matches_orbit_walk_on_every_small_pair():
     # every ordered pair of labeled graphs on up to 4 vertices, disconnected
     # ones included; the orbit listing is the oracle
     for n in range(5):
-        graphs = list(_all_graphs(n))
+        graphs = list(labelled_graphs(n))
         orbit_of = {}
         for g in graphs:
             if g.rows not in orbit_of:
@@ -298,7 +292,7 @@ def _assert_lc_system(g, h, mask):
 
 def test_lc_system_matches_its_formula_entry_by_entry():
     for n in range(4):
-        graphs = list(_all_graphs(n))
+        graphs = list(labelled_graphs(n))
         for g, h in itertools.product(graphs, repeat=2):
             for mask in set(connected_components(g)) & set(connected_components(h)):
                 _assert_lc_system(g, h, mask)

@@ -33,15 +33,17 @@ def test_every_imported_name_is_read(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unread_private_names(sources):
-    """The top-level private functions and classes of these sources that no
-    source reads outside their own definition, sorted."""
+def unread_names(sources, readers=(), public=False):
+    """The top-level functions and classes of sources, the private ones or
+    else the public ones, that neither sources nor readers read outside
+    their own definition, sorted."""
     defined, read = set(), set()
-    for source in sources:
+    texts = [(source, True) for source in sources] + [(source, False) for source in readers]
+    for source, defines in texts:
         for top in ast.parse(source).body:
             own = None
-            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
-                    and top.name.startswith("_") and not top.name.endswith("__")):
+            if (defines and isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and top.name.startswith("_") != public and not top.name.endswith("__")):
                 own = top.name
                 defined.add(own)
             for node in ast.walk(top):
@@ -63,9 +65,29 @@ def test_unread_private_names_are_found():
         "from m import _used, _imported\nclass C(_Base):\n    x = _used()\n"
         "def _unused():\n    _stored = 1\n",
     ]
-    assert unread_private_names(sources) == ["_recursive", "_unused"]
+    assert unread_names(sources) == ["_recursive", "_unused"]
+
+
+def test_unread_public_names_are_found():
+    sources = [
+        "def used():\n    pass\ndef recursive():\n    return recursive()\n"
+        "class Base:\n    pass\ndef _private():\n    pass\n",
+        "from m import used, imported\nclass Child(Base):\n    pass\n"
+        "def unused():\n    stored = 1\n",
+    ]
+    readers = ["import m\nm.used()\nChild\ndef recursive():\n    pass\n"]
+    assert unread_names(sources, readers, public=True) == ["recursive", "unused"]
 
 
 def test_every_private_name_is_read():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
-    assert unread_private_names(sources) == []
+    assert unread_names(sources) == []
+
+
+def test_every_public_name_is_read():
+    """Public API that nothing in src/, tests/ or perfbench/ reads is dead."""
+    root = SRC.parent.parent
+    readers = [(SRC / "__init__.py").read_text()]
+    readers += [p.read_text() for d in ("tests", "perfbench")
+                for p in sorted((root / d).rglob("*.py"))]
+    assert unread_names([p.read_text() for p in MODULES], readers, public=True) == []
