@@ -250,48 +250,51 @@ def _verify_suite(seed: int, max_n: int, trials: int) -> list[str]:
     rng = random.Random(seed)
     failures: list[str] = []
 
-    def check(label: str, ok: bool) -> None:
-        if not ok:
-            failures.append(label)
+    def fail(t: int, g: Graph, what: str) -> None:
+        # the label is built only for a check that fails
+        failures.append(f"trial {t} {to_graph6(g)}: {what}")
 
     for t in range(trials):
         n = rng.randrange(2, max_n + 1)
         g = random_connected_graph(rng, n)
         state = oracle.graph_state(g)
-        tag = f"trial {t} {to_graph6(g)}"
 
         a = rng.randrange(n)
         for basis in ("x", "y", "z"):
             # Both outcomes share the rewritten graph; only the byproduct differs.
             out = measurement.measure_pauli(g, a, basis)
             after = oracle.graph_state(out.graph_after)
+            # prob_plus is 1/2 or 1, so 1 - p is exact in floats too
+            p_plus = float(out.prob_plus)
             for sign in (1, -1):
                 # P_b state = |b> (x) phi with phi = <b|_a state, so the rule
                 # is checked on the n - 1 qubits that phi leaves
                 phi, prob = oracle.contract_qubit(state, a, basis, sign)
-                check(f"{tag}: probability {basis}{a}",
-                      abs(prob - float(out.prob_plus if sign > 0 else 1 - out.prob_plus)) < 1e-12)
+                if not abs(prob - (p_plus if sign > 0 else 1 - p_plus)) < 1e-12:
+                    fail(t, g, f"probability {basis}{a}")
                 if prob < 1e-12:
                     continue
                 byp = out.byproduct_plus if sign > 0 else out.byproduct_minus
-                check(f"{tag}: projection rule {basis}{a}",
-                      oracle.equal_up_to_global_phase(phi, oracle.apply_local_clifford(after, byp)))
+                if not oracle.equal_up_to_global_phase(
+                        phi, oracle.apply_local_clifford(after, byp)):
+                    fail(t, g, f"projection rule {basis}{a}")
 
         a_mask = rng.randrange(1, (1 << n) - 1)
         r = entanglement.schmidt_rank(g, a_mask)
         rank, entropy = oracle.reduced_rank_and_entropy(state, a_mask)
-        check(f"{tag}: reduced rank", rank == 1 << r)
-        check(f"{tag}: reduced entropy", abs(entropy - r) < 1e-6)
+        if rank != 1 << r:
+            fail(t, g, "reduced rank")
+        if not abs(entropy - r) < 1e-6:
+            fail(t, g, "reduced entropy")
 
         v = rng.randrange(n)
         flipped = oracle.apply_local_clifford(state, local_complement_clifford(g, v))
-        check(f"{tag}: complementation rule",
-              oracle.equal_up_to_global_phase(
-                  flipped, oracle.graph_state(local_complement(g, v))))
+        if not oracle.equal_up_to_global_phase(
+                flipped, oracle.graph_state(local_complement(g, v))):
+            fail(t, g, "complementation rule")
 
-        if n <= 8:
-            check(f"{tag}: partial trace form",
-                  oracle.verify_partial_trace_form(g, a_mask, state=state))
+        if n <= 8 and not oracle.verify_partial_trace_form(g, a_mask, state=state):
+            fail(t, g, "partial trace form")
     return failures
 
 

@@ -20,12 +20,15 @@ test checks it against the class walk.
 Whether some cut rank reaches k is one question, asked of the kernel
 _full_rank_split: it is so exactly when some set A of k vertices has cut
 rank k (the k vertices whose cross rows are independent in a split of rank
-at least k form one), and the kernel searches for such an A by independence
-of 2k vectors (see its docstring).  The maximum is the first k, from
+at least k form one).  A's cut rank is the GF(2) rank of its residual rows,
+row_a with A's own bits cleared.  For k <= 3 the kernel tries the k-sets in
+order and decides that rank of at most three ints by comparison (_rank3);
+for k >= 4 it searches by independence of 2k vectors, one XOR-basis insert
+at a time (see its docstring).  The maximum is the first k, from
 min(floor(n/2), c) down, for which the kernel finds a set, where c is the
 greedy vertex cover size: every cross edge has an end in a cover, so no cut
-rank exceeds c.  The rank indices come from one walk over the sets of at
-most 3 vertices that keeps the same XOR basis (rank_indices).
+rank exceeds c.  The rank indices tally _rank3 over the sets of 2 and 3
+vertices, with no elimination (rank_indices).
 
 The same fact makes the minimum cover of a bounds query cheap: no cut rank
 exceeds a cover's size, so a cover the size of the lower bound is minimum.
@@ -122,38 +125,46 @@ def schmidt_rank(g: Graph, subset) -> int:
     return _cross_rank(g, a_mask)
 
 
+def _rank3(a: int, b: int, c: int) -> int:
+    """GF(2) rank of three ints (c = 0 for a pair), by comparison: a and b
+    span {0, a, b, a ^ b} when all three are nonzero, else {0, a | b}, and c
+    adds one exactly when it lies outside that span."""
+    x = a ^ b
+    if a and b and x:
+        return 3 if c and c != a and c != b and c != x else 2
+    if a | b:
+        return 2 if c and c != a | b else 1
+    return 1 if c else 0
+
+
 def rank_indices(g: Graph) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
     """(RI_2, RI_3): for k = 2 and 3, the histogram of cut ranks over the
     unordered splits whose smaller side has k vertices.  counts[0] is the
     number of splits with rank k, down to counts[k-1] with rank 1.  An index
     is None when k > n/2 or g is not connected.
 
-    One depth-first walk over the sets A with |A| <= 3, in vertex order,
-    keeps one XOR basis of {row_a, e_a : a in A}, undone on backtracking;
-    A's cut rank is its dimension minus |A| (see _full_rank_split).  When
-    2k = n only the sets that hold vertex 0 count, so each split counts once.
+    A set A's cut rank is the GF(2) rank of its residual rows, row_a with
+    A's own bits cleared, and for |A| <= 3 _rank3 decides it by comparison.
+    One loop over the pairs u < v and the triples u < v < w tallies them.
+    When 2k = n only the sets that hold vertex 0 count, so each split counts
+    once.
     """
     n, rows = g.n, g.rows
     top = min(3, n // 2) if is_connected(g) else 0
     counts = [[0] * k for k in range(top + 1)]  # counts[k][k - rank]
-    basis = [0] * (n + 1)
-
-    def walk(start: int, size: int, dim: int, with0: bool) -> None:
-        size += 1
-        for v in range(start, n):
-            s1 = _insert(basis, 1 << v)
-            s2 = _insert(basis, rows[v])
-            d = dim + (s1 > 0) + (s2 > 0)
-            w0 = with0 or v == 0
-            if size >= 2 and (2 * size < n or w0):
-                counts[size][2 * size - d] += 1
-            if size < top:
-                walk(v + 1, size, d, w0)
-            basis[s2] = 0
-            basis[s1] = 0
-
     if top >= 2:
-        walk(0, 0, 0, False)
+        pairs, triples = counts[2], counts[top]  # triples is read only when top == 3
+        for u in range(n):
+            ru = rows[u]
+            for v in range(u + 1, n):
+                rv = rows[v]
+                uv = 1 << u | 1 << v
+                if n != 4 or u == 0:
+                    pairs[2 - _rank3(ru & ~uv, rv & ~uv, 0)] += 1
+                if top == 3 and (n != 6 or u == 0):
+                    for w in range(v + 1, n):
+                        m = ~(uv | 1 << w)
+                        triples[3 - _rank3(ru & m, rv & m, rows[w] & m)] += 1
     return tuple(tuple(counts[k]) if k <= top else None for k in (2, 3))
 
 
@@ -161,14 +172,42 @@ def _full_rank_split(rows: tuple[int, ...], n: int, k: int) -> int:
     """Mask of a vertex set A with |A| = k and cut rank k, or 0 if there is
     none (1 <= k <= n/2).
 
-    Over GF(2), rank(Gamma[A, V - A]) = dim span{row_a, e_a : a in A} - |A|,
-    so A has full rank k exactly when its 2k vectors are independent, and
-    then its complement B has 2|B| vectors of dependence |B| - k = n - 2k.
-    Both conditions are hereditary.  Vertices are placed in order, first on
-    side A, with one XOR basis per side (keyed by leading bit, undone on
+    For k <= 3 the answer is the first k-set, in lexicographic order, whose
+    residual rows (row_a with A's own bits cleared) have rank k, decided by
+    _rank3; when 2k = n only the sets that hold vertex 0 are tried, since
+    the complement of a full-rank k-set is one too.  Full rank is
+    hereditary, since clearing more bits can only lower the rank, so a
+    vertex with no edge, or a pair of rank below 2, lies in no full-rank set.
+
+    For k >= 4 a depth-first search decides it by elimination.  Over GF(2),
+    rank(Gamma[A, V - A]) = dim span{row_a, e_a : a in A} - |A|, so A has
+    full rank k exactly when its 2k vectors are independent, and then its
+    complement B has 2|B| vectors of dependence |B| - k = n - 2k.  Both
+    conditions are hereditary.  Vertices are placed in order, first on side
+    A, with one XOR basis per side (keyed by leading bit, undone on
     backtracking); A must stay independent and B's dependence at most
-    n - 2k.  When 2k = n, vertex 0 stays on side A.
+    n - 2k.  When 2k = n, vertex 0 stays on side A.  Trying side A first,
+    it too returns the first such set in lexicographic order.
     """
+    if k <= 3:
+        for u in range(1 if 2 * k == n else n):
+            ru = rows[u]
+            if not ru:
+                continue
+            if k == 1:
+                return 1 << u
+            for v in range(u + 1, n):
+                rv = rows[v]
+                uv = 1 << u | 1 << v
+                if _rank3(ru & ~uv, rv & ~uv, 0) < 2:
+                    continue
+                if k == 2:
+                    return uv
+                for w in range(v + 1, n):
+                    m = ~(uv | 1 << w)
+                    if _rank3(ru & m, rv & m, rows[w] & m) == 3:
+                        return uv | 1 << w
+        return 0
     slack = n - 2 * k
     basis_a = [0] * (n + 1)
     basis_b = [0] * (n + 1)

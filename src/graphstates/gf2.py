@@ -6,9 +6,11 @@ works a machine word at a time without an explicit packing layer.
 
 There is one elimination, the XOR-basis insert _insert.  The rank inserts
 rows; the kernel inserts columns, each tagged with its index, so a column
-that the others cancel leaves the tag of a kernel vector.  Cut ranks, the
-rank-index walk and the local-Clifford system of orbits (written one column
-per unknown, one component at a time) all go through it.
+that the others cancel leaves the tag of a kernel vector.  The Schmidt
+rank, the cut-rank kernel's search for sets of 4 or more vertices and the
+local-Clifford system of orbits (written one column per unknown, one
+component at a time) all go through it; cut ranks of at most 3 vertices
+need no elimination (entanglement._rank3).
 """
 
 from __future__ import annotations

@@ -405,13 +405,33 @@ def _verify_with_mutated_byproducts(monkeypatch, mutate):
     return main(["verify", "--seed", "3", "--max-vertices", "6", "--trials", "3"])
 
 
+def _every_basis_and_sign_fails(check):
+    """verify's stdout for seed 3, n <= 6, 3 trials, when one check fails for
+    both signs of every basis: each failure is named by its trial, the
+    trial's graph6, the check and the measured qubit."""
+    trials = [(0, "Bo", 1), (1, "A_", 0), (2, "CR", 1)]
+    lines = [f"FAIL trial {t} {g6}: {check} {basis}{a}"
+             for t, g6, a in trials for basis in "xyz" for _sign in (1, -1)]
+    lines.append("verify: 18 failures over 3 trials (seed=3, n<=6)")
+    return "\n".join(lines) + "\n"
+
+
 def test_verify_catches_swapped_byproducts(capsys, monkeypatch):
     def swap(out):
         return out._replace(byproduct_plus=out.byproduct_minus,
                             byproduct_minus=out.byproduct_plus)
 
-    assert _verify_with_mutated_byproducts(monkeypatch, swap) == 3
-    assert "projection rule" in capsys.readouterr().out
+    assert _verify_with_mutated_byproducts(monkeypatch, swap) == cli.EXIT_VERIFY
+    assert capsys.readouterr().out == _every_basis_and_sign_fails("projection rule")
+
+
+def test_verify_catches_a_wrong_probability(capsys, monkeypatch):
+    # 1/2 becomes 3/4 and 1 becomes 1/2; the byproducts stay right
+    def misstate(out):
+        return out._replace(prob_plus=1 - out.prob_plus / 2)
+
+    assert _verify_with_mutated_byproducts(monkeypatch, misstate) == cli.EXIT_VERIFY
+    assert capsys.readouterr().out == _every_basis_and_sign_fails("probability")
 
 
 def test_verify_checks_the_minus_byproduct(capsys, monkeypatch):

@@ -169,6 +169,22 @@ def test_lower_bound_and_rank_index_match_references_on_connected_classes(connec
             assert rank_indices(g) == _reference_rank_indices(g), g.rows
 
 
+def test_rank_indices_match_the_reference_on_other_labellings(connected_classes):
+    # the class representatives are one labelling each, and which sets count
+    # when 2k = n (those that hold vertex 0) depends on the labels
+    for n in range(0, 6):
+        for g in labelled_graphs(n):
+            assert rank_indices(g) == _reference_rank_indices(g), g.rows
+    rng = random.Random(35)
+    for n in (6, 7):
+        for g in connected_classes[n]:
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = relabel(g, perm)
+                assert rank_indices(h) == _reference_rank_indices(h), (g.rows, perm)
+
+
 def test_lower_bound_matches_mask_order_scan_on_random_graphs():
     rng = random.Random(34)
     for _ in range(60):
@@ -209,6 +225,29 @@ def _check_full_rank_split(g):
         if a_mask:
             assert a_mask.bit_count() == k
             assert entanglement._cross_rank(g, a_mask) == k
+
+
+def test_cut_ranks_of_at_most_three_vertices_need_no_elimination(monkeypatch):
+    # _check_full_rank_split checks the answers; this pins the mechanism:
+    # sets of at most three vertices are decided by comparison, larger ones
+    # by the XOR-basis search
+    inserts = []
+    real = entanglement._insert
+
+    def counting(basis, x):
+        inserts.append(x)
+        return real(basis, x)
+
+    monkeypatch.setattr(entanglement, "_insert", counting)
+    rng = random.Random(37)
+    assert rank_indices(random_connected_graph(rng, 7, 0.5))[1] is not None
+    g8 = random_connected_graph(rng, 8, 0.5)
+    for g in (g8, star_graph(8)):  # every pair and triple of the star has rank 1
+        for k in (1, 2, 3):
+            entanglement._full_rank_split(g.rows, g.n, k)
+    assert inserts == []
+    entanglement._full_rank_split(g8.rows, g8.n, 4)
+    assert inserts
 
 
 def test_full_rank_split_matches_brute_force_on_all_small_labelled_graphs():
